@@ -124,9 +124,8 @@ fn bench_counts_kernels(c: &mut Criterion) {
 
 fn bench_stage2_kernels(c: &mut Criterion) {
     // The Stage-2 search kernels at the paper's 9-cluster setting: the
-    // streaming sequential-RNG enumerator vs the counter-based serial and
-    // range-partitioned parallel sweeps, at k ∈ {2, 3, 4} (9^… leaves:
-    // 512, 19 683, 262 144).
+    // streaming sequential-RNG enumerator vs the pruned counter-based sweep,
+    // at k ∈ {2, 3, 4} (9^… leaves: 512, 19 683, 262 144).
     let ctx = ExperimentContext::build(
         DatasetKind::Diabetes,
         50_000,
@@ -140,11 +139,7 @@ fn bench_stage2_kernels(c: &mut Criterion) {
     g.sample_size(10);
     for k in [2usize, 3, 4] {
         let candidates: Vec<Vec<usize>> = vec![(0..k).collect(); 9];
-        for kernel in [
-            Stage2Kernel::SequentialRng,
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(4),
-        ] {
+        for kernel in [Stage2Kernel::SequentialRng, Stage2Kernel::CounterSerial] {
             g.bench_with_input(
                 BenchmarkId::new(kernel.label(), k),
                 &kernel,

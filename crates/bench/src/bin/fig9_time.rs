@@ -14,12 +14,12 @@
 //!   counts; the serial-vs-parallel **crossover sweep** (the measured row
 //!   count where the parallel kernel starts winning, `crossover.crossover_rows`);
 //!   the **incremental ablation** (`apply_delta` on a `--delta-fraction`
-//!   tail vs a full rebuild, `incremental.speedup_vs_rebuild`); plus the
-//!   Stage-2 kernel sweep: leaf rates for the recursive DFS reference, the
-//!   streaming sequential-RNG enumerator, and the counter-based
-//!   serial/parallel kernels, with counter serial/parallel argmax equality
-//!   asserted before any timing is trusted. Counts cells are timed as
-//!   warmup + min-of-runs (see `counts_ablation::time_runs`).
+//!   tail vs a full rebuild, `incremental.speedup_vs_rebuild`); the Stage-2
+//!   kernel sweep: leaf rates for the streaming sequential-RNG enumerator
+//!   and the pruned counter-based kernel; and a `host` block (cores, build
+//!   profile) so the numbers are read against the machine that made them.
+//!   Counts cells are timed as warmup + min-of-runs (see
+//!   `counts_ablation::time_runs`).
 //!
 //! ```text
 //! cargo run -p dpx-bench --release --bin fig9_time -- --mode clusters
@@ -29,9 +29,7 @@
 
 use dpclustx::engine::{ExplainEngine, NoopObserver};
 use dpclustx::framework::DpClustXConfig;
-use dpclustx::stage2::{
-    select_combination_counted_recursive, select_combination_with_kernel, Stage2Kernel,
-};
+use dpclustx::stage2::{select_combination_with_kernel, Stage2Kernel};
 use dpclustx::Weights;
 use dpx_bench::counts_ablation::{
     run_counts_ablation, run_crossover_sweep, run_incremental_ablation, CountsAblation,
@@ -322,11 +320,9 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         runs,
     );
 
-    // Stage-2 kernel sweep on the real score table: the recursive DFS
-    // reference and the streaming sequential-RNG enumerator share one noise
-    // stream (twin RNGs double as an equivalence check), and the counter
-    // kernels must agree with each other bit-for-bit — both asserted on
-    // every run before the timings are trusted.
+    // Stage-2 kernel sweep on the real score table. The two kernels draw
+    // different noise, so the only cross-check is that both enumerate the
+    // same combination space.
     let counts = ClusteredCounts::build_parallel(
         &data,
         &labels,
@@ -335,41 +331,23 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
     );
     let st = dpclustx::ScoreTable::from_clustered_counts(&counts);
     let eps = Epsilon::new(1.0).expect("1.0 is a valid epsilon");
-    let par_threads = threads.last().copied().unwrap_or(4).max(1);
+    let kernels = [Stage2Kernel::SequentialRng, Stage2Kernel::CounterSerial];
     let mut stage2_cells = Vec::new();
-    // (k, leaves, sequential and counter-parallel leaf rates) at the largest
-    // swept k — the acceptance headline.
+    // (k, leaves, sequential and counter leaf rates) at the largest swept k
+    // — the acceptance headline.
     let mut stage2_headline: Option<(usize, u64, f64, f64)> = None;
     for &k in &ks {
         let k = k.max(1).min(data.schema().arity());
         let candidates: Vec<Vec<usize>> = (0..n_clusters).map(|_| (0..k).collect()).collect();
         eprintln!("# stage-2 kernels: k={k} ({n_clusters} clusters)");
-        let kernels = [
-            Stage2Kernel::SequentialRng,
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(par_threads),
-        ];
-        let mut rec_secs = 0.0;
-        let mut secs = [0.0f64; 3];
-        let mut leaves = 0u64;
+        let mut secs = [0.0f64; 2];
+        let mut leaves = [0u64; 2];
         for run in 0..runs.max(1) {
             let run_seed = seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let t0 = Instant::now();
-            let (sel_rec, n_rec) = select_combination_counted_recursive(
-                &st,
-                &candidates,
-                Weights::default(),
-                eps,
-                &mut rng,
-            )
-            .expect("non-empty candidate sets");
-            rec_secs += t0.elapsed().as_secs_f64();
-            let mut sels = Vec::with_capacity(kernels.len());
             for (i, &kernel) in kernels.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(run_seed);
                 let t0 = Instant::now();
-                let (sel, n) = select_combination_with_kernel(
+                let (_, n) = select_combination_with_kernel(
                     &st,
                     &candidates,
                     Weights::default(),
@@ -379,41 +357,32 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
                 )
                 .expect("non-empty candidate sets");
                 secs[i] += t0.elapsed().as_secs_f64();
-                assert_eq!(n, n_rec, "kernels cover different combination counts");
-                sels.push(sel);
+                leaves[i] = n;
             }
             assert_eq!(
-                sels[0], sel_rec,
-                "sequential kernel disagrees with the DFS reference"
+                leaves[0], leaves[1],
+                "kernels cover different combination counts"
             );
-            assert_eq!(
-                sels[1], sels[2],
-                "counter-serial and counter-parallel disagree on the argmax"
-            );
-            leaves = n_rec;
         }
+        let leaves = leaves[0];
         let n = runs.max(1) as f64;
-        let rec_secs = rec_secs / n;
         let seq_secs = secs[0] / n;
-        let mut kernel_cells = vec![Json::object()
-            .field("kernel", "recursive-dfs")
-            .field("seconds", rec_secs)
-            .field("leaves_per_sec", leaves as f64 / rec_secs)
-            .field("speedup_vs_sequential", seq_secs / rec_secs)];
-        for (i, &kernel) in kernels.iter().enumerate() {
-            let s = secs[i] / n;
-            kernel_cells.push(
+        let kernel_cells: Vec<Json> = kernels
+            .iter()
+            .zip(secs)
+            .map(|(kernel, total)| {
+                let s = total / n;
                 Json::object()
                     .field("kernel", kernel.label())
                     .field("seconds", s)
                     .field("leaves_per_sec", leaves as f64 / s)
-                    .field("speedup_vs_sequential", seq_secs / s),
-            );
-        }
-        let par_rate = leaves as f64 / (secs[2] / n);
+                    .field("speedup_vs_sequential", seq_secs / s)
+            })
+            .collect();
+        let counter_rate = leaves as f64 / (secs[1] / n);
         let seq_rate = leaves as f64 / seq_secs;
         if stage2_headline.is_none_or(|(hk, ..)| k >= hk) {
-            stage2_headline = Some((k, leaves, seq_rate, par_rate));
+            stage2_headline = Some((k, leaves, seq_rate, counter_rate));
         }
         stage2_cells.push(
             Json::object()
@@ -423,22 +392,35 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
                 .field("kernels", kernel_cells),
         );
     }
-    let (hk, hleaves, seq_rate, par_rate) =
+    let (hk, hleaves, seq_rate, counter_rate) =
         stage2_headline.expect("at least one k in the stage-2 sweep");
     let stage2_headline = Json::object()
         .field("clusters", n_clusters)
         .field("k", hk)
         .field("leaves", hleaves)
         .field("sequential_leaves_per_sec", seq_rate)
-        .field(
-            "counter_parallel_kernel",
-            format!("counter-parallel/{par_threads}"),
-        )
-        .field("counter_parallel_leaves_per_sec", par_rate)
-        .field("speedup", par_rate / seq_rate);
+        .field("counter_kernel", Stage2Kernel::CounterSerial.label())
+        .field("counter_leaves_per_sec", counter_rate)
+        .field("speedup", counter_rate / seq_rate);
 
     let doc = Json::object()
         .field("bench", "fig9")
+        .field(
+            "host",
+            Json::object()
+                .field(
+                    "cores",
+                    std::thread::available_parallelism().map_or(1, usize::from),
+                )
+                .field(
+                    "profile",
+                    if cfg!(debug_assertions) {
+                        "debug"
+                    } else {
+                        "release"
+                    },
+                ),
+        )
         .field("dataset", kind.name())
         .field("seed", seed)
         .field("runs", runs)
@@ -538,8 +520,8 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         incremental.speedup_vs_rebuild
     );
     println!(
-        "stage-2 headline (c={n_clusters}, k={hk}): counter-parallel/{par_threads} at \
-         {par_rate:.0} leaves/s = {:.2}x sequential ({seq_rate:.0} leaves/s)",
-        par_rate / seq_rate
+        "stage-2 headline (c={n_clusters}, k={hk}): counter-serial at \
+         {counter_rate:.0} leaves/s = {:.2}x sequential ({seq_rate:.0} leaves/s)",
+        counter_rate / seq_rate
     );
 }

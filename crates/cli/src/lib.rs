@@ -89,22 +89,21 @@ USAGE:
                     [--method <kmeans|dp-kmeans|kmodes|agglomerative|gmm>]
                     [--clust-eps E] [--eps-cand E] [--eps-comb E] [--eps-hist E]
                     [--k N] [--weights INT,SUF,DIV] [--seed S] [--timings]
-                    [--stage2-kernel <seq|counter|counter-par[/N]>]
+                    [--stage2-kernel <seq|counter>]
       Clusters the data and prints the DP explanation with a privacy audit.
       --timings additionally prints the staged-engine report: per-stage wall
       time, ε charged per ledger label, and stage metrics.
       --stage2-kernel picks the Stage-2 search: 'seq' streams Gumbel noise
       from the session RNG (default; reproduces historical seeds), 'counter'
       derives per-combination noise from a keyed counter PRF (enables exact
-      pruning), 'counter-par[/N]' adds a range-partitioned parallel sweep
-      with bit-identical output for any N (bare form auto-detects).
+      pruning). Both sweep on one thread.
 
   dpclustx-cli evaluate ... (same flags as explain)
       Additionally compares against the non-private TabEE reference
       (requires raw data access; offline analysis only).
 
   dpclustx-cli session  --data <file.csv> --schema <file.schema> [--budget E]
-                    [--stage2-kernel <seq|counter|counter-par[/N]>]
+                    [--stage2-kernel <seq|counter>]
       Interactive analyst session: every command spends one shared budget.
 
   dpclustx-cli report   ... --report-out <file.md> [--title T]

@@ -181,7 +181,11 @@ mod tests {
     use std::io::BufWriter;
 
     fn world() -> (String, String) {
-        let dir = std::env::temp_dir().join(format!("dpclustx-repl-{}", std::process::id()));
+        // One directory per call: tests run in parallel, and a shared file
+        // would be truncated by one test while another reads it.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dpclustx-repl-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let data = synth::diabetes::spec(2).generate(1_200, &mut rng).data;

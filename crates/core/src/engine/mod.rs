@@ -400,29 +400,17 @@ impl ExplainContext {
     }
 
     /// The tables for a clustering: served from cache when the same
-    /// `(dataset, labels)` pair was seen before, built (one data pass) and
-    /// memoized otherwise. The second element reports whether it was a hit.
+    /// `(dataset, labels)` pair was seen before, built (one data pass on the
+    /// calling thread) and memoized otherwise. The second element reports
+    /// whether it was a hit.
     pub fn tables(&mut self, labels: &[usize], n_clusters: usize) -> (Arc<CountedTables>, bool) {
-        self.tables_with(labels, n_clusters, 1)
-    }
-
-    /// [`Self::tables`] with an explicit worker-thread count for the cache
-    /// -miss build path: misses run the chunked count–merge kernel
-    /// ([`ClusteredCounts::build_parallel`]), which is bit-identical to the
-    /// serial build — so the cache never distinguishes thread counts.
-    pub fn tables_with(
-        &mut self,
-        labels: &[usize],
-        n_clusters: usize,
-        threads: usize,
-    ) -> (Arc<CountedTables>, bool) {
         let key = CountsKey {
             dataset_fingerprint: self.fingerprint,
             labels_hash: hash_labels(labels, n_clusters),
         };
         let data = &self.data;
         self.cache.get_or_build(key, || {
-            let counts = ClusteredCounts::build_parallel(data, labels, n_clusters, threads);
+            let counts = ClusteredCounts::build_parallel(data, labels, n_clusters, 1);
             let table = ScoreTable::from_clustered_counts(&counts);
             CountedTables { counts, table }
         })

@@ -5,9 +5,9 @@
 //! the same thread machinery below `dpx-data`, so the implementation moved
 //! down into the `dpx-runtime` crate. This module re-exports it so existing
 //! `dpclustx::parallel::{ordered_parallel_map, default_threads}` callers
-//! keep working unchanged; [`chunked_reduce`] rides along for completeness.
+//! keep working unchanged.
 //!
 //! See [`dpx_runtime::parallel`] for the determinism contract (pure
-//! per-item/per-chunk work, input-order results, panic propagation).
+//! per-item work, input-order results, panic propagation).
 
-pub use dpx_runtime::parallel::{chunked_reduce, default_threads, ordered_parallel_map};
+pub use dpx_runtime::parallel::{default_threads, ordered_parallel_map};

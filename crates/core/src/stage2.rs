@@ -6,12 +6,14 @@
 //!    `k^|C|` attribute combinations drawn from the candidate sets, scored by
 //!    the sensitivity-1 `GlScore_λ`. Sampling uses the Gumbel-max trick so the
 //!    full combination space is enumerated exactly once, with incremental
-//!    (DFS) partial scores — no `k^|C|`-sized allocation. Three kernels share
-//!    that mechanism (selected by [`Stage2Kernel`]): the streaming
+//!    partial scores — no `k^|C|`-sized allocation. Two kernels share that
+//!    mechanism (selected by [`Stage2Kernel`]): the streaming
 //!    [`select_combination_counted`] reference, and the counter-based
-//!    [`select_combination_counter`] family, whose per-leaf PRF noise makes
-//!    the leaf space range-partitionable across threads and prunable by an
-//!    exact branch-and-bound bound — bit-identical for any thread count.
+//!    [`select_combination_counter`], whose per-leaf PRF noise makes the leaf
+//!    space prunable by an exact branch-and-bound bound. Both sweep on the
+//!    calling thread: a range-partitioned multi-threaded counter sweep lost
+//!    to the serial one at every measured point (2.64 ms vs 0.45 ms at
+//!    c=9, k=4 on a 2-core host), so it was removed.
 //! 2. **Histogram release** (lines 6–15): noisy full-data histograms for the
 //!    *distinct* selected attributes at `ε_Hist/(2|A'|)` each (sequential
 //!    composition), noisy in-cluster histograms at `ε_Hist/2` each (parallel
@@ -20,7 +22,7 @@
 
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
-use crate::parallel::{chunked_reduce, default_threads, ordered_parallel_map};
+use crate::parallel::ordered_parallel_map;
 use crate::quality::score::{GlScoreCache, Weights};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Schema;
@@ -55,13 +57,12 @@ pub fn select_combination<R: Rng + ?Sized>(
 ///
 /// The enumerator is **iterative**: an odometer over the candidate sets
 /// (rightmost cluster fastest — the same lexicographic leaf order as the
-/// historical recursive DFS, kept as
-/// [`select_combination_counted_recursive`]) walking precomputed per-level
-/// gain slices with running prefix sums. For each prefix of fixed earlier
-/// choices, every candidate's marginal `GlScore` contribution at a level is
-/// materialized once into a slice; the innermost loop is then a slice read,
-/// one multiply-add, and one Gumbel draw per leaf — no recursion, no
-/// per-leaf pair-term scan. The arithmetic reuses
+/// recursive DFS kept as this function's test oracle) walking precomputed
+/// per-level gain slices with running prefix sums. For each prefix of fixed
+/// earlier choices, every candidate's marginal `GlScore` contribution at a
+/// level is materialized once into a slice; the innermost loop is then a
+/// slice read, one multiply-add, and one Gumbel draw per leaf — no
+/// recursion, no per-leaf pair-term scan. The arithmetic reuses
 /// [`GlScoreCache::marginal_gain`] with the same association order as the
 /// DFS, so leaf scores, the Gumbel stream, and the argmax are all
 /// bit-identical to the recursive reference (twin-RNG tested).
@@ -79,36 +80,21 @@ pub fn select_combination_counted<R: Rng + ?Sized>(
     // Exponential mechanism via Gumbel-max: argmax over combinations of
     // ε·GlScore/(2Δ) + Gumbel(1), with Δ = 1 (Proposition 4.9).
     let factor = eps_top_comb.get() / 2.0;
-    let n = candidates.len();
-    let last = n - 1;
     let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
-    let mut choice = vec![0usize; n];
-    let mut best_choice = vec![0usize; n];
+    let last = ks.len() - 1;
+    let mut odo = Odometer::new(&cache, &ks);
+    let mut best_choice = vec![0usize; ks.len()];
     let mut best_val = f64::NEG_INFINITY;
     let mut leaves = 0u64;
-    // gains[c][i]: marginal GlScore contribution of candidate i at level c
-    // under the current prefix `choice[..c]`; prefix_sum[c]: total gain of
-    // the chosen candidates at levels < c, accumulated left to right.
-    let mut gains: Vec<Vec<f64>> = (0..n)
-        .map(|c| {
-            (0..ks[c])
-                .map(|i| cache.marginal_gain(&choice[..c], c, i))
-                .collect()
-        })
-        .collect();
-    let mut prefix_sum = vec![0.0f64; n];
-    for c in 1..n {
-        prefix_sum[c] = prefix_sum[c - 1] + gains[c - 1][choice[c - 1]];
-    }
     loop {
         // Leaf sweep: all candidates of the last cluster under this prefix.
-        let base = prefix_sum[last];
-        for (i, &gain) in gains[last].iter().enumerate() {
+        let base = odo.prefix_sum[last];
+        for (i, &gain) in odo.gains[last].iter().enumerate() {
             let noisy = factor * (base + gain) + sample_gumbel(1.0, rng);
             leaves += 1;
             if noisy > best_val {
                 best_val = noisy;
-                best_choice[..last].copy_from_slice(&choice[..last]);
+                best_choice[..last].copy_from_slice(&odo.choice[..last]);
                 best_choice[last] = i;
             }
         }
@@ -116,134 +102,40 @@ pub fn select_combination_counted<R: Rng + ?Sized>(
         let mut pos = last;
         loop {
             if pos == 0 {
-                let sel = best_choice
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &i)| candidates[c][i])
-                    .collect();
-                return Ok((sel, leaves));
+                return Ok((to_attributes(candidates, &best_choice), leaves));
             }
             pos -= 1;
-            choice[pos] += 1;
-            if choice[pos] < ks[pos] {
+            odo.choice[pos] += 1;
+            if odo.choice[pos] < ks[pos] {
                 break;
             }
-            choice[pos] = 0;
+            odo.choice[pos] = 0;
         }
-        // Levels above `pos` saw their prefix change: refresh their gain
-        // slices and running prefix sums (gains[pos] itself only depends on
-        // choices *before* pos, which are unchanged).
-        for c in pos + 1..n {
-            for (i, slot) in gains[c].iter_mut().enumerate() {
-                *slot = cache.marginal_gain(&choice[..c], c, i);
-            }
-        }
-        for c in pos + 1..n {
-            prefix_sum[c] = prefix_sum[c - 1] + gains[c - 1][choice[c - 1]];
-        }
+        odo.refresh_from(pos);
     }
 }
 
-/// The historical recursive implementation of
-/// [`select_combination_counted`], kept as the reference the iterative
-/// enumerator is twin-RNG tested against (identical Gumbel stream, leaf
-/// count, and argmax) and as the baseline of the bench crate's Stage-2
-/// node-rate ablation.
-pub fn select_combination_counted_recursive<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-    eps_top_comb: Epsilon,
-    rng: &mut R,
-) -> Result<(AttributeCombination, u64), DpError> {
-    if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
-        return Err(DpError::EmptyCandidateSet);
-    }
-    let cache = GlScoreCache::build(st, candidates, weights);
-    let factor = eps_top_comb.get() / 2.0;
-    let n = candidates.len();
-    let mut best_choice = vec![0usize; n];
-    let mut best_val = f64::NEG_INFINITY;
-    let mut prefix: Vec<usize> = Vec::with_capacity(n);
-    let mut partial: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut leaves = 0u64;
-    partial.push(0.0);
-    dfs(
-        &cache,
-        candidates,
-        factor,
-        &mut prefix,
-        &mut partial,
-        &mut best_choice,
-        &mut best_val,
-        &mut leaves,
-        rng,
-    );
-    let sel = best_choice
+/// Maps a per-cluster candidate-index choice to the attributes it names.
+fn to_attributes(candidates: &[Vec<usize>], choice: &[usize]) -> AttributeCombination {
+    choice
         .iter()
         .enumerate()
         .map(|(c, &i)| candidates[c][i])
-        .collect();
-    Ok((sel, leaves))
-}
-
-/// DFS over combination space, maintaining the running `GlScore` prefix sum;
-/// at each leaf draws the Gumbel perturbation and tracks the argmax.
-#[allow(clippy::too_many_arguments)]
-fn dfs<R: Rng + ?Sized>(
-    cache: &GlScoreCache,
-    candidates: &[Vec<usize>],
-    factor: f64,
-    prefix: &mut Vec<usize>,
-    partial: &mut Vec<f64>,
-    best_choice: &mut Vec<usize>,
-    best_val: &mut f64,
-    leaves: &mut u64,
-    rng: &mut R,
-) {
-    let c = prefix.len();
-    if c == candidates.len() {
-        let score = *partial.last().expect("partial always has the root entry");
-        let noisy = factor * score + sample_gumbel(1.0, rng);
-        *leaves += 1;
-        if noisy > *best_val {
-            *best_val = noisy;
-            best_choice.copy_from_slice(prefix);
-        }
-        return;
-    }
-    for i in 0..candidates[c].len() {
-        let gain = cache.marginal_gain(prefix, c, i);
-        prefix.push(i);
-        partial.push(partial.last().expect("non-empty") + gain);
-        dfs(
-            cache,
-            candidates,
-            factor,
-            prefix,
-            partial,
-            best_choice,
-            best_val,
-            leaves,
-            rng,
-        );
-        prefix.pop();
-        partial.pop();
-    }
+        .collect()
 }
 
 /// Which enumeration kernel drives Stage-2 combination selection.
 ///
-/// All three realize the *same* exponential-mechanism distribution (each
-/// leaf's perturbation is one [`sample_gumbel`] draw); they differ in where
-/// the noise comes from and therefore in what the enumerator is allowed to
-/// do with the leaf space:
+/// Both realize the *same* exponential-mechanism distribution (each leaf's
+/// perturbation is one [`sample_gumbel`] draw); they differ in where the
+/// noise comes from and therefore in what the enumerator is allowed to do
+/// with the leaf space:
 ///
 /// * [`SequentialRng`](Stage2Kernel::SequentialRng) — the streaming
 ///   reference: every leaf consumes the caller's RNG in leaf order, so the
-///   sweep is pinned to one core and must visit every leaf. This is the
-///   historical behavior and stays the default; all seeded-reproducibility
-///   guarantees of existing runs are unchanged.
+///   sweep must visit every leaf. This is the historical behavior and stays
+///   the default; all seeded-reproducibility guarantees of existing runs are
+///   unchanged.
 /// * [`CounterSerial`](Stage2Kernel::CounterSerial) — noise at leaf `i` is
 ///   the counter-based [`gumbel_at`]`(seed, i)`, a pure function, with one
 ///   fresh `seed` drawn from the caller's RNG per selection. Independence
@@ -251,65 +143,41 @@ fn dfs<R: Rng + ?Sized>(
 ///   whole subtrees — whose best possible score plus [`GUMBEL_UNIT_MAX`]
 ///   cannot beat the running best are skipped without computing their draws,
 ///   exact, not approximate (see [`select_combination_counter`]).
-/// * [`CounterParallel`](Stage2Kernel::CounterParallel) — the same
-///   counter-based sweep, range-partitioned over `threads` workers via
-///   mixed-radix odometer seeking; deterministically merged, bit-identical
-///   to `CounterSerial` for every thread count. `0` means "auto" (machine
-///   parallelism).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stage2Kernel {
     /// Streaming Gumbel draws from the caller's sequential RNG (default).
     #[default]
     SequentialRng,
-    /// Counter-based per-leaf noise, single-threaded sweep.
+    /// Counter-based per-leaf noise with branch-and-bound pruning.
     CounterSerial,
-    /// Counter-based per-leaf noise, range-partitioned across N threads
-    /// (`0` = auto-detect machine parallelism).
-    CounterParallel(usize),
 }
 
 impl Stage2Kernel {
-    /// Parses a CLI/bench selector: `seq` (or `sequential-rng`), `counter`
-    /// (or `counter-serial`), `counter-par[/N]` (or `counter-parallel[/N]`;
-    /// bare form auto-detects the thread count).
+    /// Parses a CLI/wire selector: `seq` (or `sequential`/`sequential-rng`)
+    /// or `counter` (or `counter-serial`).
     pub fn parse(s: &str) -> Result<Self, String> {
-        let (name, threads) = match s.split_once('/') {
-            Some((n, t)) => (n, Some(t)),
-            None => (s, None),
-        };
-        match (name, threads) {
-            ("seq" | "sequential" | "sequential-rng", None) => Ok(Stage2Kernel::SequentialRng),
-            ("counter" | "counter-serial", None) => Ok(Stage2Kernel::CounterSerial),
-            ("counter-par" | "counter-parallel", None) => Ok(Stage2Kernel::CounterParallel(0)),
-            ("counter-par" | "counter-parallel", Some(t)) => t
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(Stage2Kernel::CounterParallel)
-                .ok_or_else(|| format!("invalid thread count {t:?} in stage2 kernel {s:?}")),
+        match s {
+            "seq" | "sequential" | "sequential-rng" => Ok(Stage2Kernel::SequentialRng),
+            "counter" | "counter-serial" => Ok(Stage2Kernel::CounterSerial),
             _ => Err(format!(
-                "unknown stage2 kernel {s:?} (expected seq, counter, or counter-par[/N])"
+                "unknown stage2 kernel {s:?} (expected seq|counter)"
             )),
         }
     }
 
     /// Stable display/JSON label for this kernel.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            Stage2Kernel::SequentialRng => "sequential-rng".into(),
-            Stage2Kernel::CounterSerial => "counter-serial".into(),
-            Stage2Kernel::CounterParallel(0) => "counter-parallel/auto".into(),
-            Stage2Kernel::CounterParallel(t) => format!("counter-parallel/{t}"),
+            Stage2Kernel::SequentialRng => "sequential-rng",
+            Stage2Kernel::CounterSerial => "counter-serial",
         }
     }
 }
 
 /// [`select_combination_counted`] dispatched through a [`Stage2Kernel`].
 ///
-/// `SequentialRng` consumes one RNG draw per leaf; the counter kernels
-/// consume exactly **one** `u64` (the PRF seed) regardless of leaf count, so
-/// `CounterSerial` and `CounterParallel` are stream-compatible with each
-/// other (and trivially with themselves across thread counts).
+/// `SequentialRng` consumes one RNG draw per leaf; `CounterSerial` consumes
+/// exactly **one** `u64` (the PRF seed) regardless of leaf count.
 pub fn select_combination_with_kernel<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
@@ -323,52 +191,28 @@ pub fn select_combination_with_kernel<R: Rng + ?Sized>(
             select_combination_counted(st, candidates, weights, eps_top_comb, rng)
         }
         Stage2Kernel::CounterSerial => {
-            select_combination_counter(st, candidates, weights, eps_top_comb, 1, rng)
-        }
-        Stage2Kernel::CounterParallel(threads) => {
-            let threads = if threads == 0 {
-                default_threads(usize::MAX)
-            } else {
-                threads
-            };
-            select_combination_counter(st, candidates, weights, eps_top_comb, threads, rng)
+            select_combination_counter(st, candidates, weights, eps_top_comb, rng)
         }
     }
 }
 
-/// The Stage-2 enumerator state at one leaf: the mixed-radix choice vector,
-/// the per-level marginal-gain slices under the current prefix, and their
-/// running left-fold prefix sums.
-///
-/// The state at leaf `i` is a *pure function* of `i`: every `gains[c][j]` is
-/// `GlScoreCache::marginal_gain(&choice[..c], c, j)` (itself pure) and every
-/// prefix sum is the same fixed-order left fold — so [`Odometer::seek`]
-/// lands bit-for-bit on the state the serial sweep reaches by carrying
-/// through leaves `0..i` (tested). That equivalence is what makes contiguous
-/// range partitions of the leaf space exact rather than approximate.
+/// The Stage-2 enumerator state at the start of one last-cluster slice: the
+/// mixed-radix choice vector, the per-level marginal-gain slices under the
+/// current prefix, and their running left-fold prefix sums. Both kernels
+/// walk it; they differ only in how they advance the prefix digits.
 struct Odometer<'a> {
     cache: &'a GlScoreCache,
-    ks: &'a [usize],
     choice: Vec<usize>,
     gains: Vec<Vec<f64>>,
     prefix_sum: Vec<f64>,
 }
 
 impl<'a> Odometer<'a> {
-    /// Seeks directly to `leaf`: mixed-radix decomposition of the index
-    /// (rightmost cluster fastest — the enumeration order shared by every
-    /// Stage-2 kernel) followed by a fresh gain/prefix rebuild, costing
-    /// O(|C|·k) `marginal_gain` calls independent of `leaf`.
-    fn seek(cache: &'a GlScoreCache, ks: &'a [usize], leaf: u64) -> Self {
+    /// The state at leaf 0: every digit zero, every gain slice and prefix
+    /// sum built for that prefix.
+    fn new(cache: &'a GlScoreCache, ks: &[usize]) -> Self {
         let n = ks.len();
-        let mut choice = vec![0usize; n];
-        let mut rem = leaf;
-        for c in (0..n).rev() {
-            let k = ks[c] as u64;
-            choice[c] = (rem % k) as usize;
-            rem /= k;
-        }
-        debug_assert_eq!(rem, 0, "leaf index out of the combination space");
+        let choice = vec![0usize; n];
         let gains: Vec<Vec<f64>> = (0..n)
             .map(|c| {
                 (0..ks[c])
@@ -382,49 +226,21 @@ impl<'a> Odometer<'a> {
         }
         Odometer {
             cache,
-            ks,
             choice,
             gains,
             prefix_sum,
         }
     }
 
-    /// Advances the prefix levels (everything left of the last cluster) by
-    /// one, refreshing the gain slices and prefix sums of the levels whose
-    /// prefix changed — the same carry step as the serial sweep (the pruned
-    /// sweep inlines the increment to interleave subtree bounds, then calls
-    /// [`Odometer::refresh_from`]). Returns `false` when the prefix space is
-    /// exhausted. Kept as the unpruned reference for the seek-equivalence
-    /// property test.
-    #[cfg(test)]
-    fn carry(&mut self) -> bool {
-        let n = self.ks.len();
-        let last = n - 1;
-        let mut pos = last;
-        loop {
-            if pos == 0 {
-                return false;
-            }
-            pos -= 1;
-            self.choice[pos] += 1;
-            if self.choice[pos] < self.ks[pos] {
-                break;
-            }
-            self.choice[pos] = 0;
-        }
-        self.refresh_from(pos);
-        true
-    }
-
     /// Rebuilds the gain slices and prefix sums of every level right of
-    /// `pos` after the digit at `pos` changed — the invariant-restoring half
-    /// of a carry. Levels `..=pos` are untouched: their gains and prefix
-    /// sums depend only on digits left of `pos`.
+    /// `pos` after the digit at `pos` changed. Levels `..=pos` are
+    /// untouched: their gains and prefix sums depend only on digits left of
+    /// `pos`.
     fn refresh_from(&mut self, pos: usize) {
-        let n = self.ks.len();
+        let n = self.choice.len();
         for c in pos + 1..n {
-            for i in 0..self.ks[c] {
-                self.gains[c][i] = self.cache.marginal_gain(&self.choice[..c], c, i);
+            for (i, slot) in self.gains[c].iter_mut().enumerate() {
+                *slot = self.cache.marginal_gain(&self.choice[..c], c, i);
             }
         }
         for c in pos + 1..n {
@@ -433,42 +249,23 @@ impl<'a> Odometer<'a> {
     }
 }
 
-/// A range sweep's argmax: the best noisy value, the (globally indexed) leaf
-/// achieving it, and that leaf's choice vector.
-struct RangeBest {
-    val: f64,
-    leaf: u64,
-    choice: Vec<usize>,
-}
-
-/// The inputs shared by every range of one counter-based sweep: the score
-/// cache, the per-cluster candidate counts, the exponential-mechanism factor
-/// `eps/2`, the PRF seed, and the precomputed subtree-pruning tables
-/// (`bounds[c]` = max prefix-independent gain bound of cluster `c`,
-/// `subtree[c]` = leaves under a fixed prefix of length `c`).
-struct SweepInputs<'a> {
-    cache: &'a GlScoreCache,
-    ks: &'a [usize],
-    factor: f64,
-    seed: u64,
-    bounds: &'a [f64],
-    subtree: &'a [u64],
-}
-
-/// Sweeps leaves `[start, end)` with counter-based noise, returning the
-/// range-local argmax (earliest leaf on exact ties, via strict `>` updates).
+/// Counter-based Stage-2 combination selection (the `CounterSerial`
+/// kernel): the exponential mechanism over the `k^|C|` combination space
+/// via the Gumbel-max trick, with each leaf's perturbation derived from a
+/// keyed PRF ([`gumbel_at`]) instead of a shared stream.
 ///
-/// Two levels of exact branch-and-bound pruning, both enabled by per-leaf
-/// counter noise (a sequential stream must draw every leaf's Gumbel just to
-/// keep later draws aligned):
+/// Exactly one `u64` (the PRF seed) is drawn from `rng`, after which every
+/// leaf's noisy score is a pure function of its index. That independence
+/// allows two levels of exact branch-and-bound pruning (a sequential stream
+/// must draw every leaf's Gumbel just to keep later draws aligned):
 ///
 /// * **Slice level** — a last-cluster slice whose best achievable noisy
 ///   value, `factor · (base + max gain) + GUMBEL_UNIT_MAX`, cannot exceed
 ///   the running best is skipped without computing any draw.
 /// * **Subtree level** — at every carry, before the gain slices below the
 ///   carry position are refreshed, the whole `∏ ks[p+1..]`-leaf subtree is
-///   bounded by folding `bounds[c]` (the prefix-independent
-///   [`GlScoreCache::gain_upper_bound`] maxima) onto the fixed prefix sum in
+///   bounded by folding the prefix-independent
+///   [`GlScoreCache::gain_upper_bound`] maxima onto the fixed prefix sum in
 ///   the *same left-to-right order* the sweep itself accumulates gains; a
 ///   subtree that cannot beat the running best is skipped in O(1) — no gain
 ///   refresh, no draws — and the carry retries at the same position.
@@ -477,109 +274,14 @@ struct SweepInputs<'a> {
 /// each replaced term dominates its actual term, the folds run in identical
 /// order, and IEEE addition and positive multiplication are monotone, so a
 /// skipped leaf's noisy value could never have passed the strict `>` update.
-/// The argmax, its value, and the earliest-leaf tie-breaking are therefore
-/// bit-identical to the unpruned sweep.
-fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeBest {
-    debug_assert!(start < end);
-    let &SweepInputs {
-        cache,
-        ks,
-        factor,
-        seed,
-        bounds,
-        subtree,
-    } = inputs;
-    let n = ks.len();
-    let last = n - 1;
-    let k_last = ks[last];
-    let mut odo = Odometer::seek(cache, ks, start);
-    let mut best = RangeBest {
-        val: f64::NEG_INFINITY,
-        leaf: start,
-        choice: odo.choice.clone(),
-    };
-    let mut leaf = start;
-    // The first slice may start mid-way (seek lands on digit `choice[last]`);
-    // subsequent slices always start at digit 0.
-    let mut digit0 = odo.choice[last];
-    loop {
-        let base = odo.prefix_sum[last];
-        let slice_len = ((end - leaf).min((k_last - digit0) as u64)) as usize;
-        let gains = &odo.gains[last][digit0..digit0 + slice_len];
-        let gmax = gains.iter().fold(f64::NEG_INFINITY, |m, &g| m.max(g));
-        if factor * (base + gmax) + GUMBEL_UNIT_MAX > best.val {
-            for (off, &gain) in gains.iter().enumerate() {
-                let idx = leaf + off as u64;
-                let noisy = factor * (base + gain) + gumbel_at(seed, idx, 1.0);
-                if noisy > best.val {
-                    best.val = noisy;
-                    best.leaf = idx;
-                    best.choice.copy_from_slice(&odo.choice);
-                    best.choice[last] = digit0 + off;
-                }
-            }
-        }
-        leaf += slice_len as u64;
-        if leaf >= end {
-            return best;
-        }
-        // Carry with subtree pruning: find the next prefix whose subtree
-        // could still contain a winner, skipping hopeless ones wholesale.
-        let mut pos = last;
-        loop {
-            if pos == 0 {
-                return best;
-            }
-            pos -= 1;
-            odo.choice[pos] += 1;
-            if odo.choice[pos] == ks[pos] {
-                odo.choice[pos] = 0;
-                continue; // cascade the carry one position left
-            }
-            // `gains[pos]` and `prefix_sum[pos]` depend only on digits left
-            // of `pos`, which this carry has not touched — both still valid.
-            let mut b = odo.prefix_sum[pos] + odo.gains[pos][odo.choice[pos]];
-            for &m in &bounds[pos + 1..] {
-                b += m;
-            }
-            if factor * b + GUMBEL_UNIT_MAX <= best.val {
-                // `leaf` sits on the subtree's first leaf; skip all of it
-                // and retry the increment at this same position.
-                leaf += subtree[pos + 1];
-                if leaf >= end {
-                    return best;
-                }
-                pos += 1;
-                continue;
-            }
-            break;
-        }
-        // The surviving carry position: restore the invariants below it.
-        odo.refresh_from(pos);
-        digit0 = 0;
-    }
-}
-
-/// Counter-based Stage-2 combination selection (the `CounterSerial` /
-/// `CounterParallel` kernels): the exponential mechanism over the `k^|C|`
-/// combination space via the Gumbel-max trick, with each leaf's perturbation
-/// derived from a keyed PRF ([`gumbel_at`]) instead of a shared stream.
-///
-/// Exactly one `u64` (the PRF seed) is drawn from `rng`, after which every
-/// leaf's noisy score is a pure function of its index. The sweep is
-/// range-partitioned into `threads` contiguous chunks of `[0, k^|C|)`
-/// (each seeking its start leaf in O(|C|·k), then carrying normally) and the
-/// per-range argmaxes are folded in ascending range order with strict-`>`
-/// comparison — preserving the serial sweep's earliest-leaf tie-breaking, so
-/// the selected combination is **bit-identical for every thread count**
-/// (property-tested). Returns the selection and the size of the enumerated
-/// space, as [`select_combination_counted`] does.
+/// The argmax and its earliest-leaf tie-breaking are therefore bit-identical
+/// to the unpruned sweep (tested). Returns the selection and the size of
+/// the enumerated space, as [`select_combination_counted`] does.
 pub fn select_combination_counter<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
     weights: Weights,
     eps_top_comb: Epsilon,
-    threads: usize,
     rng: &mut R,
 ) -> Result<(AttributeCombination, u64), DpError> {
     if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
@@ -593,9 +295,9 @@ pub fn select_combination_counter<R: Rng + ?Sized>(
         .try_fold(1u64, |acc, &k| acc.checked_mul(k as u64))
         .expect("combination space exceeds u64");
     let seed: u64 = rng.gen();
-    // Per-cluster maxima of the prefix-independent gain bounds and the
-    // suffix subtree sizes — the shared inputs of the sweeps' subtree
-    // pruning (`subtree[c]` = leaves under a fixed prefix of length `c`).
+    // Per-cluster maxima of the prefix-independent gain bounds, and the
+    // suffix subtree sizes (`subtree[c]` = leaves under a fixed prefix of
+    // length `c`) — the inputs of the subtree pruning.
     let bounds: Vec<f64> = (0..ks.len())
         .map(|c| {
             (0..ks[c])
@@ -607,32 +309,59 @@ pub fn select_combination_counter<R: Rng + ?Sized>(
     for c in (0..ks.len()).rev() {
         subtree[c] = subtree[c + 1] * ks[c] as u64;
     }
-    let inputs = SweepInputs {
-        cache: &cache,
-        ks: &ks,
-        factor,
-        seed,
-        bounds: &bounds,
-        subtree: &subtree,
-    };
-    let best = chunked_reduce(
-        total as usize,
-        threads.max(1),
-        |r| sweep_counter_range(&inputs, r.start as u64, r.end as u64),
-        |acc, part| {
-            if part.val > acc.val {
-                *acc = part;
+    let last = ks.len() - 1;
+    let mut odo = Odometer::new(&cache, &ks);
+    let mut best_choice = vec![0usize; ks.len()];
+    let mut best_val = f64::NEG_INFINITY;
+    // Index of the first leaf under the current prefix.
+    let mut leaf = 0u64;
+    'sweep: loop {
+        let base = odo.prefix_sum[last];
+        let gains = &odo.gains[last];
+        let gmax = gains.iter().fold(f64::NEG_INFINITY, |m, &g| m.max(g));
+        if factor * (base + gmax) + GUMBEL_UNIT_MAX > best_val {
+            for (i, &gain) in gains.iter().enumerate() {
+                let noisy = factor * (base + gain) + gumbel_at(seed, leaf + i as u64, 1.0);
+                if noisy > best_val {
+                    best_val = noisy;
+                    best_choice[..last].copy_from_slice(&odo.choice[..last]);
+                    best_choice[last] = i;
+                }
             }
-        },
-    )
-    .expect("combination space is non-empty");
-    let sel = best
-        .choice
-        .iter()
-        .enumerate()
-        .map(|(c, &i)| candidates[c][i])
-        .collect();
-    Ok((sel, total))
+        }
+        leaf += ks[last] as u64;
+        // Carry with subtree pruning: find the next prefix whose subtree
+        // could still contain a winner, skipping hopeless ones wholesale.
+        let mut pos = last;
+        loop {
+            if pos == 0 {
+                break 'sweep;
+            }
+            pos -= 1;
+            odo.choice[pos] += 1;
+            if odo.choice[pos] == ks[pos] {
+                odo.choice[pos] = 0;
+                continue; // cascade the carry one position left
+            }
+            // `gains[pos]` and `prefix_sum[pos]` depend only on digits left
+            // of `pos`, which this carry has not touched — both still valid.
+            let mut b = odo.prefix_sum[pos] + odo.gains[pos][odo.choice[pos]];
+            for &m in &bounds[pos + 1..] {
+                b += m;
+            }
+            if factor * b + GUMBEL_UNIT_MAX <= best_val {
+                // `leaf` sits on the subtree's first leaf; skip all of it
+                // and retry the increment at this same position.
+                leaf += subtree[pos + 1];
+                pos += 1;
+                continue;
+            }
+            break;
+        }
+        // The surviving carry position: restore the invariants below it.
+        odo.refresh_from(pos);
+    }
+    Ok((to_attributes(candidates, &best_choice), total))
 }
 
 /// Exhaustive non-private argmax over the combination space — the TabEE
@@ -658,11 +387,7 @@ pub fn select_combination_exact(
         let mut pos = n;
         loop {
             if pos == 0 {
-                return best_choice
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &i)| candidates[c][i])
-                    .collect();
+                return to_attributes(candidates, &best_choice);
             }
             pos -= 1;
             choice[pos] += 1;
@@ -849,6 +574,88 @@ mod tests {
     use dpx_dp::histogram::GeometricHistogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The historical recursive implementation of
+    /// [`select_combination_counted`], kept as the oracle the iterative
+    /// enumerator is twin-RNG tested against (identical Gumbel stream, leaf
+    /// count, and argmax).
+    fn select_combination_counted_recursive<R: Rng + ?Sized>(
+        st: &ScoreTable,
+        candidates: &[Vec<usize>],
+        weights: Weights,
+        eps_top_comb: Epsilon,
+        rng: &mut R,
+    ) -> Result<(AttributeCombination, u64), DpError> {
+        if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
+            return Err(DpError::EmptyCandidateSet);
+        }
+        let cache = GlScoreCache::build(st, candidates, weights);
+        let factor = eps_top_comb.get() / 2.0;
+        let n = candidates.len();
+        let mut best_choice = vec![0usize; n];
+        let mut best_val = f64::NEG_INFINITY;
+        let mut prefix: Vec<usize> = Vec::with_capacity(n);
+        let mut partial: Vec<f64> = Vec::with_capacity(n + 1);
+        let mut leaves = 0u64;
+        partial.push(0.0);
+        dfs(
+            &cache,
+            candidates,
+            factor,
+            &mut prefix,
+            &mut partial,
+            &mut best_choice,
+            &mut best_val,
+            &mut leaves,
+            rng,
+        );
+        Ok((to_attributes(candidates, &best_choice), leaves))
+    }
+
+    /// DFS over combination space, maintaining the running `GlScore` prefix
+    /// sum; at each leaf draws the Gumbel perturbation and tracks the argmax.
+    #[allow(clippy::too_many_arguments)]
+    fn dfs<R: Rng + ?Sized>(
+        cache: &GlScoreCache,
+        candidates: &[Vec<usize>],
+        factor: f64,
+        prefix: &mut Vec<usize>,
+        partial: &mut Vec<f64>,
+        best_choice: &mut Vec<usize>,
+        best_val: &mut f64,
+        leaves: &mut u64,
+        rng: &mut R,
+    ) {
+        let c = prefix.len();
+        if c == candidates.len() {
+            let score = *partial.last().expect("partial always has the root entry");
+            let noisy = factor * score + sample_gumbel(1.0, rng);
+            *leaves += 1;
+            if noisy > *best_val {
+                *best_val = noisy;
+                best_choice.copy_from_slice(prefix);
+            }
+            return;
+        }
+        for i in 0..candidates[c].len() {
+            let gain = cache.marginal_gain(prefix, c, i);
+            prefix.push(i);
+            partial.push(partial.last().expect("non-empty") + gain);
+            dfs(
+                cache,
+                candidates,
+                factor,
+                prefix,
+                partial,
+                best_choice,
+                best_val,
+                leaves,
+                rng,
+            );
+            prefix.pop();
+            partial.pop();
+        }
+    }
 
     fn table() -> ScoreTable {
         // Unequal cluster sizes (100 / 200); attributes 0 and 1 carry signal,
@@ -1134,7 +941,6 @@ mod tests {
             &[vec![0], vec![]],
             Weights::equal(),
             Epsilon::new(1.0).unwrap(),
-            2,
             &mut r2
         )
         .is_err());
@@ -1156,12 +962,13 @@ mod tests {
         ScoreTable::new(vec![a0, a1, a2])
     }
 
-    /// Satellite: `CounterParallel` must be bit-identical to `CounterSerial`
-    /// for every thread count — including thread counts exceeding the leaf
-    /// count, candidate sets with single-candidate levels, and the degenerate
-    /// 1-leaf space.
+    /// The pruned counter sweep must pick — bit for bit — the leaf an
+    /// unpruned enumeration of the same PRF noise picks, including on
+    /// single-candidate levels and the degenerate 1-leaf space. The
+    /// reference folds each leaf's gains left to right, the same
+    /// association order as the sweep's prefix sums.
     #[test]
-    fn counter_parallel_bit_identical_to_serial_across_thread_counts() {
+    fn counter_kernel_matches_unpruned_enumeration() {
         let two = table();
         let three = three_cluster_table();
         let cases: Vec<(&ScoreTable, Vec<Vec<usize>>)> = vec![
@@ -1173,102 +980,39 @@ mod tests {
         ];
         let w = Weights::equal();
         for (st, candidates) in &cases {
-            let leaves: usize = candidates.iter().map(Vec::len).product();
+            let cache = GlScoreCache::build(st, candidates, w);
+            let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
+            let leaves: u64 = ks.iter().map(|&k| k as u64).product();
             for eps in [0.3, 5.0, 1e6] {
                 let eps = Epsilon::new(eps).unwrap();
                 for seed in [1u64, 17, 2026] {
-                    let mut serial_rng = StdRng::seed_from_u64(seed);
-                    let (serial_sel, serial_leaves) =
-                        select_combination_counter(st, candidates, w, eps, 1, &mut serial_rng)
-                            .unwrap();
-                    assert_eq!(serial_leaves, leaves as u64);
-                    for threads in [2usize, 7, leaves + 3] {
-                        let mut par_rng = StdRng::seed_from_u64(seed);
-                        let (par_sel, par_leaves) = select_combination_counter(
-                            st,
-                            candidates,
-                            w,
-                            eps,
-                            threads,
-                            &mut par_rng,
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            par_sel, serial_sel,
-                            "threads={threads} seed={seed} diverged from serial"
-                        );
-                        assert_eq!(par_leaves, serial_leaves);
-                        assert_eq!(
-                            par_rng.gen::<u64>(),
-                            serial_rng.clone().gen::<u64>(),
-                            "kernels must consume identical RNG draws"
-                        );
+                    let prf_seed: u64 = StdRng::seed_from_u64(seed).gen();
+                    let mut best = (f64::NEG_INFINITY, Vec::new());
+                    for leaf in 0..leaves {
+                        let mut rem = leaf;
+                        let mut choice = vec![0usize; ks.len()];
+                        for c in (0..ks.len()).rev() {
+                            choice[c] = (rem % ks[c] as u64) as usize;
+                            rem /= ks[c] as u64;
+                        }
+                        let score = (0..ks.len()).fold(0.0, |acc, c| {
+                            acc + cache.marginal_gain(&choice[..c], c, choice[c])
+                        });
+                        let noisy = eps.get() / 2.0 * score + gumbel_at(prf_seed, leaf, 1.0);
+                        if noisy > best.0 {
+                            best = (noisy, choice);
+                        }
                     }
-                }
-            }
-        }
-    }
-
-    /// Satellite: `Odometer::seek(i)` must reproduce — bit for bit — the
-    /// state (choice vector, gain slices, prefix sums) the serial sweep
-    /// reaches at leaf `i` by carrying from leaf 0, for random indices.
-    #[test]
-    fn odometer_seek_reproduces_serial_sweep_state() {
-        let st = three_cluster_table();
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1], vec![0, 1, 2], vec![2, 0]];
-        let cache = GlScoreCache::build(&st, &candidates, w);
-        let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
-        let total: u64 = ks.iter().map(|&k| k as u64).product();
-        let k_last = *ks.last().unwrap() as u64;
-
-        // Reference: walk every slice serially, recording the state at each
-        // slice start.
-        type OdometerState = (Vec<usize>, Vec<Vec<f64>>, Vec<f64>);
-        let mut serial = Odometer::seek(&cache, &ks, 0);
-        let mut states: Vec<OdometerState> = Vec::new();
-        loop {
-            states.push((
-                serial.choice.clone(),
-                serial.gains.clone(),
-                serial.prefix_sum.clone(),
-            ));
-            if !serial.carry() {
-                break;
-            }
-        }
-        assert_eq!(states.len() as u64, total / k_last);
-
-        let mut r = StdRng::seed_from_u64(404);
-        for _ in 0..50 {
-            let leaf = r.gen_range(0..total);
-            let seeked = Odometer::seek(&cache, &ks, leaf);
-            let (ref choice, ref gains, ref prefix) = states[(leaf / k_last) as usize];
-            assert_eq!(
-                &seeked.choice[..ks.len() - 1],
-                &choice[..ks.len() - 1],
-                "prefix digits at leaf {leaf}"
-            );
-            assert_eq!(
-                seeked.choice[ks.len() - 1] as u64,
-                leaf % k_last,
-                "last digit at leaf {leaf}"
-            );
-            for (c, (sg, rg)) in seeked.gains.iter().zip(gains).enumerate() {
-                for (i, (a, b)) in sg.iter().zip(rg).enumerate() {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (sel, n) =
+                        select_combination_counter(st, candidates, w, eps, &mut rng).unwrap();
+                    assert_eq!(n, leaves);
                     assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "gains[{c}][{i}] differ at leaf {leaf}"
+                        sel,
+                        to_attributes(candidates, &best.1),
+                        "seed={seed} ks={ks:?}: pruned sweep diverged"
                     );
                 }
-            }
-            for (c, (a, b)) in seeked.prefix_sum.iter().zip(prefix).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "prefix_sum[{c}] differs at leaf {leaf}"
-                );
             }
         }
     }
@@ -1294,28 +1038,28 @@ mod tests {
         let z: f64 = exps.iter().sum();
         let probs: Vec<f64> = exps.iter().map(|&e| e / z).collect();
 
-        for kernel in [
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(3),
-        ] {
-            let n = 40_000;
-            let mut hits = [0usize; 4];
-            let mut r = StdRng::seed_from_u64(6);
-            for _ in 0..n {
-                let (sel, _) =
-                    select_combination_with_kernel(&st, &candidates, w, eps, kernel, &mut r)
-                        .unwrap();
-                hits[sel[0] * 2 + sel[1]] += 1;
-            }
-            for (idx, &h) in hits.iter().enumerate() {
-                let emp = h as f64 / n as f64;
-                assert!(
-                    (emp - probs[idx]).abs() < 0.015,
-                    "{}: combo {idx}: empirical {emp} vs softmax {}",
-                    kernel.label(),
-                    probs[idx]
-                );
-            }
+        let n = 40_000;
+        let mut hits = [0usize; 4];
+        let mut r = StdRng::seed_from_u64(6);
+        for _ in 0..n {
+            let (sel, _) = select_combination_with_kernel(
+                &st,
+                &candidates,
+                w,
+                eps,
+                Stage2Kernel::CounterSerial,
+                &mut r,
+            )
+            .unwrap();
+            hits[sel[0] * 2 + sel[1]] += 1;
+        }
+        for (idx, &h) in hits.iter().enumerate() {
+            let emp = h as f64 / n as f64;
+            assert!(
+                (emp - probs[idx]).abs() < 0.015,
+                "combo {idx}: empirical {emp} vs softmax {}",
+                probs[idx]
+            );
         }
     }
 
@@ -1328,20 +1072,12 @@ mod tests {
         let w = Weights::equal();
         let candidates = vec![vec![0usize, 1, 2]; 3];
         let exact = select_combination_exact(&st, &candidates, w);
-        for threads in [1usize, 4] {
-            let mut r = StdRng::seed_from_u64(33);
-            let (sel, leaves) = select_combination_counter(
-                &st,
-                &candidates,
-                w,
-                Epsilon::new(1e7).unwrap(),
-                threads,
-                &mut r,
-            )
-            .unwrap();
-            assert_eq!(sel, exact, "threads={threads}");
-            assert_eq!(leaves, 27);
-        }
+        let mut r = StdRng::seed_from_u64(33);
+        let (sel, leaves) =
+            select_combination_counter(&st, &candidates, w, Epsilon::new(1e7).unwrap(), &mut r)
+                .unwrap();
+        assert_eq!(sel, exact);
+        assert_eq!(leaves, 27);
     }
 
     #[test]
@@ -1349,25 +1085,22 @@ mod tests {
         let st = table();
         let w = Weights::equal();
         let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
-        for threads in [1usize, 4] {
-            let mut kernel_rng = StdRng::seed_from_u64(91);
-            let mut twin = StdRng::seed_from_u64(91);
-            select_combination_counter(
-                &st,
-                &candidates,
-                w,
-                Epsilon::new(0.5).unwrap(),
-                threads,
-                &mut kernel_rng,
-            )
-            .unwrap();
-            let _ = twin.gen::<u64>(); // the PRF seed
-            assert_eq!(
-                kernel_rng.gen::<u64>(),
-                twin.gen::<u64>(),
-                "counter kernel must consume exactly one u64 (threads={threads})"
-            );
-        }
+        let mut kernel_rng = StdRng::seed_from_u64(91);
+        let mut twin = StdRng::seed_from_u64(91);
+        select_combination_counter(
+            &st,
+            &candidates,
+            w,
+            Epsilon::new(0.5).unwrap(),
+            &mut kernel_rng,
+        )
+        .unwrap();
+        let _ = twin.gen::<u64>(); // the PRF seed
+        assert_eq!(
+            kernel_rng.gen::<u64>(),
+            twin.gen::<u64>(),
+            "counter kernel must consume exactly one u64"
+        );
     }
 
     #[test]
@@ -1394,43 +1127,21 @@ mod tests {
 
     #[test]
     fn stage2_kernel_parse_and_label_round_trip() {
-        assert_eq!(
-            Stage2Kernel::parse("seq").unwrap(),
-            Stage2Kernel::SequentialRng
-        );
-        assert_eq!(
-            Stage2Kernel::parse("sequential-rng").unwrap(),
-            Stage2Kernel::SequentialRng
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter").unwrap(),
-            Stage2Kernel::CounterSerial
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-par").unwrap(),
-            Stage2Kernel::CounterParallel(0)
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-par/4").unwrap(),
-            Stage2Kernel::CounterParallel(4)
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-parallel/2").unwrap(),
-            Stage2Kernel::CounterParallel(2)
-        );
-        for bad in ["", "gumbel", "seq/2", "counter-par/0", "counter-par/x"] {
-            assert!(Stage2Kernel::parse(bad).is_err(), "{bad:?} should fail");
+        for (text, kernel) in [
+            ("seq", Stage2Kernel::SequentialRng),
+            ("sequential-rng", Stage2Kernel::SequentialRng),
+            ("counter", Stage2Kernel::CounterSerial),
+            ("counter-serial", Stage2Kernel::CounterSerial),
+        ] {
+            assert_eq!(Stage2Kernel::parse(text).unwrap(), kernel, "{text:?}");
+            assert_eq!(Stage2Kernel::parse(kernel.label()).unwrap(), kernel);
+        }
+        for bad in ["", "gumbel", "seq/2", "counter-par", "counter-par/3"] {
+            let err = Stage2Kernel::parse(bad).expect_err(bad);
+            assert!(err.contains("seq|counter"), "{bad:?}: {err}");
         }
         assert_eq!(Stage2Kernel::SequentialRng.label(), "sequential-rng");
         assert_eq!(Stage2Kernel::CounterSerial.label(), "counter-serial");
-        assert_eq!(
-            Stage2Kernel::CounterParallel(4).label(),
-            "counter-parallel/4"
-        );
-        assert_eq!(
-            Stage2Kernel::CounterParallel(0).label(),
-            "counter-parallel/auto"
-        );
     }
 
     fn small_dataset() -> (Dataset, Vec<usize>) {

@@ -6,22 +6,19 @@
 //! them must stay *bit-identical* to their sequential forms: DP releases are
 //! part of the privacy proof, so "parallel" may never mean "different".
 //!
-//! This crate holds the two primitives that make that guarantee by
+//! This crate holds the primitives that make that guarantee by
 //! construction, below every other workspace crate so `dpx-data` and
 //! `dpclustx` can share them:
 //!
 //! * [`ordered_parallel_map`] — apply a pure function to each item on worker
 //!   threads, results returned in input order (promoted here from
 //!   `dpclustx::parallel`, which re-exports this module).
-//! * [`chunked_reduce`] — split an index range into contiguous chunks, map
-//!   each chunk to a partial result on worker threads, and combine the
-//!   partials with a balanced [`pairwise_merge`] tree. With an associative,
-//!   commutative merge (e.g. element-wise `u64` addition) the reduction is
-//!   exactly the sequential result for every thread count.
-//! * [`chunk_worker_reduce`] — the counts-kernel variant: fixed-granule
+//! * [`chunk_worker_reduce`] — the counts kernel's reduction: fixed-granule
 //!   chunks claimed by workers off an atomic counter, each worker folding
 //!   into **one reusable accumulator** (per-thread table reuse), partials
-//!   combined with the same pairwise tree.
+//!   combined with a balanced [`pairwise_merge`] tree. With an associative,
+//!   commutative merge (e.g. element-wise integer addition) the reduction is
+//!   exactly the sequential result for every thread count.
 //! * [`ordered_parallel_map_catch`] — the serving-pool variant of the map:
 //!   per-item panic isolation (a panicking item becomes its own `Err` slot,
 //!   every other item still runs), same ordered, deterministic output.
@@ -65,8 +62,8 @@ pub mod singleflight;
 pub use batch::{BatchWindow, Batcher, Submit};
 pub use cancel::{CancelToken, REASON_DEADLINE};
 pub use parallel::{
-    chunk_worker_reduce, chunked_reduce, default_threads, ordered_parallel_map,
-    ordered_parallel_map_catch, pairwise_merge,
+    chunk_worker_reduce, default_threads, ordered_parallel_map, ordered_parallel_map_catch,
+    pairwise_merge,
 };
 pub use queue::{BoundedTenantQueue, PushError};
 pub use singleflight::{Claim, FlightGuard, SingleFlight};

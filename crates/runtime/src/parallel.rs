@@ -1,4 +1,4 @@
-//! Ordered parallel map and chunked reduction.
+//! Ordered parallel map and the counts kernel's chunked reduction.
 //!
 //! The map started life in the bench crate as a sweep helper, was promoted to
 //! `dpclustx::parallel` by the staged engine, and now lives here — below
@@ -180,48 +180,6 @@ where
         parts = next;
     }
     parts.pop()
-}
-
-/// Splits `0..len` into up to `chunks` contiguous, near-equal ranges (the
-/// first `len % chunks` ranges are one element longer), maps each range to a
-/// partial result on worker threads, and combines the partials with a
-/// [`pairwise_merge`] tree.
-///
-/// Returns `None` when `len == 0` (there is nothing to map). `chunks` is
-/// clamped to `1..=len`, so every produced range is non-empty — single-row
-/// chunks are the degenerate `chunks >= len` case.
-///
-/// Determinism: `map` must be a pure function of its range, and the merge
-/// tree's shape is fixed by the chunk count — so for merges that are
-/// associative and commutative (element-wise integer addition, as in
-/// contingency counting) the result is exactly the single-chunk result for
-/// every `chunks` value.
-///
-/// # Panics
-///
-/// Propagates any panic raised by `map` (see [`ordered_parallel_map`]).
-pub fn chunked_reduce<R, M, F>(len: usize, chunks: usize, map: M, merge: F) -> Option<R>
-where
-    R: Send,
-    M: Fn(Range<usize>) -> R + Sync,
-    F: FnMut(&mut R, R),
-{
-    if len == 0 {
-        return None;
-    }
-    let chunks = chunks.clamp(1, len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let end = start + base + usize::from(i < extra);
-        ranges.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, len);
-    let partials = ordered_parallel_map(ranges, chunks, |r| map(r.clone()));
-    pairwise_merge(partials, merge)
 }
 
 /// Worker-claimed chunked reduction with **per-worker accumulator reuse**:
@@ -431,61 +389,6 @@ mod tests {
         assert_eq!(default_threads(0), 1);
         assert!(default_threads(4) <= 4);
         assert!(default_threads(1000) >= 1);
-    }
-
-    #[test]
-    fn chunked_reduce_empty_input() {
-        let out: Option<u64> = chunked_reduce(0, 4, |_| 0u64, |a, b| *a += b);
-        assert!(out.is_none());
-    }
-
-    #[test]
-    fn chunked_reduce_covers_every_index_once() {
-        for chunks in [1, 2, 3, 7, 100, 101] {
-            let seen = chunked_reduce(
-                101,
-                chunks,
-                |r| {
-                    let mut v = vec![0u32; 101];
-                    for i in r {
-                        v[i] += 1;
-                    }
-                    v
-                },
-                |acc, part| {
-                    for (a, b) in acc.iter_mut().zip(part) {
-                        *a += b;
-                    }
-                },
-            )
-            .unwrap();
-            assert!(
-                seen.iter().all(|&c| c == 1),
-                "chunks={chunks}: some index missed or doubled"
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_reduce_matches_sequential_sum() {
-        let expect: u64 = (0..9999u64).map(|x| x * 3 + 1).sum();
-        for chunks in [1, 2, 5, 8, 64] {
-            let got = chunked_reduce(
-                9999,
-                chunks,
-                |r| r.map(|i| i as u64 * 3 + 1).sum::<u64>(),
-                |a: &mut u64, b| *a += b,
-            )
-            .unwrap();
-            assert_eq!(got, expect, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn chunked_reduce_single_row_chunks() {
-        // chunks far above len: every chunk is a single index.
-        let got = chunked_reduce(5, 1000, |r| r.len(), |a, b| *a += b).unwrap();
-        assert_eq!(got, 5);
     }
 
     #[test]

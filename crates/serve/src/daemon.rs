@@ -52,7 +52,7 @@ use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use crate::registry::DatasetRegistry;
 use crate::request::{reject_reason, ExplainRequest, ExplainResponse, RequestOp};
-use crate::service::{reason, reject_response, BatchOptions, ExplainService};
+use crate::service::{is_blank_or_comment, reason, reject_response, BatchOptions, ExplainService};
 use dpclustx::engine::StageEvent;
 use dpx_dp::histogram::GeometricHistogram;
 use dpx_runtime::faultpoint::{self, DAEMON_PRE_DRAIN_CHECKPOINT};
@@ -297,7 +297,7 @@ impl Daemon {
     /// exactly once through `reply`.
     pub fn handle_line(&self, line: &str, reply: &ReplySink) -> LineOutcome {
         let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if is_blank_or_comment(trimmed) {
             return LineOutcome::Continue;
         }
         match ExplainRequest::classify_json_line(trimmed) {

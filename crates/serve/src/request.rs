@@ -48,7 +48,7 @@ pub enum RequestOp {
 ///
 /// Only `id` is required; every other field has the CLI's default. Weights
 /// are accepted as a three-element array `[int, suf, div]` and normalized,
-/// and `stage2_kernel` takes the CLI's `seq|counter|counter-par[/N]` syntax.
+/// and `stage2_kernel` takes the CLI's `seq|counter` syntax.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRequest {
     /// Caller-chosen request identifier (echoed in the response; responses
@@ -801,6 +801,10 @@ mod tests {
             (r#"{"id": 1, "weights": [1, 2]}"#, "three elements"),
             (r#"{"id": 1, "weights": [0, 0, 0]}"#, "positive sum"),
             (r#"{"id": 1, "stage2_kernel": "fourier"}"#, "kernel"),
+            (
+                r#"{"id": 1, "stage2_kernel": "counter-par/3"}"#,
+                "seq|counter",
+            ),
             (r#"{"id": 1, "eps_cand": "a lot"}"#, "'eps_cand'"),
             (r#"[1, 2]"#, "must be a JSON object"),
             (r#"{"id": 1"#, "expected"),
@@ -808,6 +812,14 @@ mod tests {
             let err = ExplainRequest::from_json_line(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
+        // A removed selector is a typed wire reject that keeps the id.
+        let reject =
+            ExplainRequest::classify_json_line(r#"{"id": 1, "stage2_kernel": "counter-par/3"}"#)
+                .unwrap_err();
+        assert_eq!(
+            (reject.id, reject.reason),
+            (Some(1), reject_reason::BAD_LINE)
+        );
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+/// Whether a trimmed request line carries no request: blank lines and `#`
+/// comments are skipped by every request reader, batch and daemon alike.
+pub(crate) fn is_blank_or_comment(trimmed: &str) -> bool {
+    trimmed.is_empty() || trimmed.starts_with('#')
+}
+
 /// Reads a JSONL request stream (blank lines and `#` comment lines are
 /// skipped), failing on the first undecodable line. Request ids must be
 /// unique within the batch: ids key the sorted response stream and the
@@ -83,7 +89,7 @@ pub fn parse_requests<R: BufRead>(reader: R) -> Result<Vec<ExplainRequest>, Serv
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        if is_blank_or_comment(trimmed) {
             continue;
         }
         let req =
@@ -152,7 +158,7 @@ pub fn parse_requests_lenient<R: BufRead>(
             continue;
         };
         let trimmed = text.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        if is_blank_or_comment(trimmed) {
             continue;
         }
         match ExplainRequest::classify_json_line(trimmed) {

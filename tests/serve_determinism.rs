@@ -20,7 +20,7 @@ const BATCH: &str = r#"
 {"id": 11, "seed": 101, "cluster_by": 0, "n_clusters": 3}
 {"id": 3,  "seed": 102, "cluster_by": 0, "n_clusters": 3, "stage2_kernel": "counter"}
 {"id": 8,  "seed": 103, "cluster_by": 2, "n_clusters": 2, "weights": [2, 1, 1]}
-{"id": 5,  "seed": 104, "cluster_by": 0, "n_clusters": 3, "stage2_kernel": "counter-par/3"}
+{"id": 5,  "seed": 104, "cluster_by": 0, "n_clusters": 3, "stage2_kernel": "counter"}
 {"id": 1,  "seed": 105, "cluster_by": 4, "n_clusters": 4, "k": 2}
 {"id": 9,  "seed": 106, "cluster_by": 9999}
 {"id": 6,  "seed": 107, "eps_hist": null}
