@@ -109,32 +109,73 @@ USAGE:
   dpclustx-cli report   ... --report-out <file.md> [--title T]
       Writes the explanation (+ audit) as a shareable markdown report.
 
-  dpclustx-cli serve-batch --data <file.csv> --schema <file.schema>
-                    --requests <reqs.jsonl> --out <resps.jsonl>
-                    [--workers N] [--budget E] [--name NAME]
-                    [--ledger-dir <dir>] [--checkpoint-every N] [--resume]
-                    [--deadline-ms MS] [--group-commit-max-wait-us US]
-                    [--group-commit-max-batch N]
-      Executes a batch of explanation requests (one JSON object per line;
-      'id' required, everything else defaulted: dataset, seed, cluster_by,
+  dpclustx-cli serve-daemon --data <file.csv> --schema <file.schema>
+                    --out <resps.jsonl> [--requests <reqs.jsonl> | --socket <path>]
+                    [--workers N] [--queue-capacity N] [--drain-deadline-ms MS]
+                    [--metrics-out <stats.json>] [--metrics-every N]
+                    [--budget E] [--name NAME] [--ledger-dir <dir>]
+                    [--checkpoint-every N] [--resume] [--deadline-ms MS]
+                    [--group-commit-max-wait-us US] [--group-commit-max-batch N]
+      Runs the explanation service as a resident daemon, the one engine that
+      serves requests concurrently. Requests (one JSON object per line; 'id'
+      required, everything else defaulted: dataset, seed, cluster_by,
       n_clusters, k, eps_cand, eps_comb, eps_hist, weights, stage2_kernel,
-      consistency, deadline_ms) against the loaded dataset on an N-worker
-      pool. All requests share one counts cache and one atomically-charged
-      privacy accountant (--budget caps the dataset's total ε; requests that
-      would breach it are rejected with nothing recorded). Responses are
-      written sorted by id and are byte-identical for every --workers value.
+      consistency, deadline_ms) stream in over stdin (default), a JSONL file
+      (--requests), or a Unix socket (--socket, one handler per connection,
+      replies echoed per line), and execute on --workers threads (default
+      2) against the loaded dataset. All requests share one counts cache and
+      one atomically-charged privacy accountant (--budget caps the dataset's
+      total ε; a request that would breach it is rejected with nothing
+      recorded).
+      The file and stdin transports are closed-loop, so their output is a
+      function of the request lines alone and byte-identical for every
+      --workers value: at most --queue-capacity (default 32) of their
+      requests are unanswered at once, so a file is never answered
+      'overloaded'; an 'op':'append' line is a barrier, sent only once every
+      earlier line is answered, with nothing after it read until it is
+      answered; and admission does not price deadlines against the rolling
+      latency estimate (each request's own deadline still bounds it).
+      Socket traffic gets full admission control, every reject typed on the
+      response stream before any ε is touched: budget_exceeded
+      (+eps_remaining) when the request's ε exceeds the shard's live
+      headroom, deadline_exceeded when the deadline is infeasible behind the
+      current queue at the rolling latency estimate, overloaded
+      (+retry_after_ms backpressure hint) when the tenant's lane
+      (--queue-capacity slots per dataset, weighted round-robin dequeue) is
+      full, draining once shutdown began. A shed id is NOT consumed —
+      retrying the identical request after the hint is the contract. A
+      replayed id is answered duplicate_id; a line that fails to parse is
+      answered with a typed reject (bad_line, invalid_epsilon) on the
+      response stream when it declares an id, as a control line otherwise.
+      A request that panics is answered 'worker panicked: <message>' and its
+      worker keeps serving.
+      Two control ops answer on the transport only (never the durable
+      stream): {'id':N,'op':'stats'} returns the rolling metrics snapshot
+      (queue depth, p50/p99 latency, per-stage means, per-dataset ε burn,
+      rejects by class; --metrics-out dumps the same JSON every
+      --metrics-every completions), {'id':N,'op':'shutdown'} — or transport
+      EOF, the SIGTERM-equivalent for this no-unsafe binary — closes
+      admission and drains: queued work finishes under --drain-deadline-ms
+      (unstarted work past it is shed at zero ε, in-flight work has its
+      deadline capped), every shard ledger is checkpointed, and the exit
+      summary reports served/shed/rejected, per-dataset ε, and accounting
+      probe violations. Responses append-and-flush as they land and are
+      rewritten sorted by id (an id's executed answer before its rejects)
+      on a clean drain.
       --ledger-dir makes accounting durable and sharded: each dataset gets
       its own write-ahead ledger (<dir>/<dataset>.wal), every grant is
-      fsynced before its request runs, and a restarted serve-batch with the
-      same --ledger-dir recovers each shard at its exact spend instead of
+      fsynced before its request runs, and a restart with the same
+      --ledger-dir recovers each shard at its exact spend instead of
       double-charging the cap. --checkpoint-every N (requires --ledger-dir)
       compacts a shard's ledger to a single checkpoint record after every N
       grants, so recovery replays at most N records instead of the full
-      history. --resume (requires --ledger-dir) additionally keeps
-      already-written response lines in --out and skips re-spending for
-      request ids that hold a recovered grant. The summary reports each
-      shard's ledger stats (records replayed, torn bytes truncated,
-      checkpoint age) alongside the ε accounting.
+      history. --resume (requires --ledger-dir and --requests) keeps the
+      served lines already in --out, skips the first line of each kept id
+      (a later replay of it is still answered duplicate_id), and skips
+      re-spending for request ids that hold a recovered grant: a kill
+      anywhere, mid-drain included, resumes to the uninterrupted bytes. The
+      summary reports each shard's ledger stats (records replayed, torn
+      bytes truncated, checkpoint age) alongside the ε accounting.
       --group-commit-max-wait-us US / --group-commit-max-batch N (require
       --ledger-dir; either flag opts in, the other takes its default of
       200us/64) batch concurrent grants into one fsync: the first spender to
@@ -146,47 +187,17 @@ USAGE:
       'deadline_ms' overrides it), covering admission too: a request whose
       deadline expires before its grant commits is rejected with reason
       deadline_exceeded and spends NO ε; once the grant is durable, a later
-      timeout keeps the reserved ε spent. A request line with 'op':'append'
-      and 'rows':[[..],..] appends coded rows to the named dataset instead
-      of explaining: it spends no ε, refreshes every served clustering's
-      cached count tables incrementally (O(delta), never a rebuild), and is
-      an ordering barrier — explains after it in the input observe the grown
-      dataset. On --resume, append requests are always re-executed (they
+      timeout keeps the reserved ε spent. An 'op':'append' line with
+      'rows':[[..],..] appends coded rows to the named dataset instead of
+      explaining: it spends no ε, refreshes every served clustering's cached
+      count tables incrementally (O(delta), never a rebuild), and runs one
+      at a time per registry. On --resume, appends always re-execute (they
       rebuild in-memory dataset state deterministically and for free).
 
-  dpclustx-cli serve-daemon --data <file.csv> --schema <file.schema>
-                    --out <resps.jsonl> [--requests <reqs.jsonl> | --socket <path>]
-                    [--workers N] [--queue-capacity N] [--drain-deadline-ms MS]
-                    [--metrics-out <stats.json>] [--metrics-every N]
-                    [--budget E] [--name NAME] [--ledger-dir <dir>]
-                    [--checkpoint-every N] [--resume] [--deadline-ms MS]
-                    [--group-commit-max-wait-us US] [--group-commit-max-batch N]
-      Runs the explanation service as a resident daemon: requests stream in
-      over stdin (default), a JSONL file (--requests), or a Unix socket
-      (--socket, one handler per connection, replies echoed per line), are
-      admitted into a bounded per-tenant queue (--queue-capacity slots per
-      dataset, weighted round-robin dequeue), and execute on --workers
-      threads. Admission rejects *before* any ε is touched, each reject
-      typed on the response stream: budget_exceeded (+eps_remaining) when
-      the request's ε exceeds the shard's live headroom, deadline_exceeded
-      when the deadline is infeasible behind the current queue at the
-      rolling latency estimate, overloaded (+retry_after_ms backpressure
-      hint) when the tenant's lane is full, draining once shutdown began.
-      A shed id is NOT consumed — retrying the identical request after the
-      hint is the contract. Two control ops answer on the transport only
-      (never the durable stream): {'id':N,'op':'stats'} returns the rolling
-      metrics snapshot (queue depth, p50/p99 latency, per-stage means, per-
-      dataset ε burn, rejects by class; --metrics-out dumps the same JSON
-      every --metrics-every completions), {'id':N,'op':'shutdown'} — or
-      transport EOF, the SIGTERM-equivalent for this no-unsafe binary —
-      closes admission and drains: queued work finishes under
-      --drain-deadline-ms (unstarted work past it is shed at zero ε,
-      in-flight work has its deadline capped), every shard ledger is
-      checkpointed, and the exit summary reports served/shed/rejected, per-
-      dataset ε, and accounting probe violations. Responses append-and-
-      flush as they land and are rewritten sorted by id on a clean drain;
-      a kill anywhere mid-drain recovers with --resume byte-identically
-      (--resume requires --requests and --ledger-dir).
+  dpclustx-cli serve-batch --data <file.csv> --schema <file.schema>
+                    --requests <reqs.jsonl> --out <resps.jsonl> [serve-daemon flags]
+      serve-daemon with --requests required: the same engine, flags,
+      defaults, and summary, for answering one request file.
 
   dpclustx-cli rank     ... --cluster C
       Prints the exact (non-private!) ranked candidate attributes of one

@@ -7,12 +7,11 @@
 //! 1. [`BuildCounts`] — obtain the per-clustering [`CountedTables`]
 //!    (contingency counts + score table), memoized in the [`ExplainContext`]
 //!    keyed by *(dataset fingerprint, labels hash)*;
-//! 2. [`CandidateSelection`] — Stage 1 of the paper (Algorithm 1), with
-//!    per-cluster scoring fanned out over worker threads;
+//! 2. [`CandidateSelection`] — Stage 1 of the paper (Algorithm 1);
 //! 3. [`CombinationSelection`] — the exponential mechanism over `k^|C|`
 //!    combinations (Algorithm 2, line 5);
 //! 4. [`HistogramRelease`] — the noisy histogram release (Algorithm 2,
-//!    lines 6–15), with per-attribute and per-cluster releases parallelized.
+//!    lines 6–15).
 //!
 //! Every stage boundary is a seam: the engine wraps each stage run with wall
 //! -clock timing and an [`Accountant`] ledger mark, and reports a
@@ -20,10 +19,9 @@
 //! a [`PipelineObserver`]. [`NoopObserver`] discards events;
 //! [`CollectingObserver`] records them and renders the `--timings` report.
 //!
-//! Parallel stages stay deterministic under a fixed seed: per-task RNGs are
-//! split from the master RNG in task order before the fan-out and results are
-//! merged in input order, so `threads = 1` and `threads = N` produce
-//! bit-identical explanations (see [`crate::parallel`]).
+//! Stages run on the calling thread. Stage 1 and the histogram release still
+//! split one RNG per task from the master RNG, in task order, before any task
+//! runs: that is the draw order every recorded seeded output was made with.
 
 mod observer;
 mod stages;
@@ -417,17 +415,14 @@ impl ExplainContext {
     }
 }
 
-/// The staged pipeline runner: a configuration plus a worker-thread count
-/// and a Stage-2 kernel selection.
+/// The staged pipeline runner: a configuration plus a Stage-2 kernel
+/// selection.
 ///
-/// `threads = 1` (the default) runs every stage sequentially;
-/// `with_threads(n)` fans Stage-1 scoring and the histogram releases out over
-/// up to `n` workers with bit-identical results. Stage-2 combination
-/// selection keeps its own selector
-/// ([`with_stage2_kernel`](Self::with_stage2_kernel)) because switching its
-/// noise source changes
-/// which draws the master RNG stream sees — the default `SequentialRng`
-/// preserves historical seeded outputs exactly.
+/// Every stage runs on the calling thread. Stage-2 combination selection has
+/// its own selector ([`with_stage2_kernel`](Self::with_stage2_kernel))
+/// because switching its noise source changes which draws the master RNG
+/// stream sees — the default `SequentialRng` preserves historical seeded
+/// outputs exactly.
 ///
 /// An optional [`CancelToken`] makes runs deadline-bounded: the engine polls
 /// it **between** stages only — a stage boundary is the one place where no
@@ -436,26 +431,18 @@ impl ExplainContext {
 #[derive(Debug, Clone)]
 pub struct ExplainEngine {
     config: DpClustXConfig,
-    threads: usize,
     stage2_kernel: Stage2Kernel,
     cancel: Option<CancelToken>,
 }
 
 impl ExplainEngine {
-    /// An engine for `config`, single-threaded.
+    /// An engine for `config`.
     pub fn new(config: DpClustXConfig) -> Self {
         ExplainEngine {
             config,
-            threads: 1,
             stage2_kernel: Stage2Kernel::SequentialRng,
             cancel: None,
         }
-    }
-
-    /// Sets the worker-thread cap for the parallelizable stages.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Selects the Stage-2 combination-selection kernel.
@@ -476,11 +463,6 @@ impl ExplainEngine {
     /// The configuration in use.
     pub fn config(&self) -> &DpClustXConfig {
         &self.config
-    }
-
-    /// The worker-thread cap.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The Stage-2 kernel in use.
@@ -601,7 +583,6 @@ impl ExplainEngine {
         let cap = Epsilon::new(self.config.total_epsilon())?;
         let mut state = EngineState {
             config: self.config,
-            threads: self.threads,
             stage2_kernel: self.stage2_kernel,
             schema,
             source,

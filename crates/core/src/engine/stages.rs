@@ -4,8 +4,8 @@ use super::{CountedTables, CountsKey, SharedCountsCache};
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
 use crate::framework::DpClustXConfig;
-use crate::stage1::{select_candidates_with, CandidateSets};
-use crate::stage2::{generate_histograms_with, select_combination_with_kernel, Stage2Kernel};
+use crate::stage1::{select_candidates, CandidateSets};
+use crate::stage2::{generate_histograms, select_combination_with_kernel, Stage2Kernel};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::{hash_labels, Dataset, Schema};
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -86,7 +86,6 @@ impl Tables<'_> {
 /// products of its predecessors and fills in its own.
 pub struct EngineState<'a, M: ?Sized, R: Rng + ?Sized> {
     pub(super) config: DpClustXConfig,
-    pub(super) threads: usize,
     pub(super) stage2_kernel: Stage2Kernel,
     pub(super) schema: &'a Schema,
     pub(super) source: Source<'a>,
@@ -125,7 +124,6 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
 
     fn run(&self, state: &mut EngineState<'_, M, R>) -> Result<Vec<(&'static str, f64)>, DpError> {
         let mut metrics = Vec::new();
-        let threads = state.threads;
         let tables = match &mut state.source {
             Source::Build {
                 data,
@@ -142,7 +140,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
                         .cache
                         .get_or_build_cancellable(key, slot.cancel.as_ref(), || {
                             let counts =
-                                ClusteredCounts::build_parallel(data, labels, *n_clusters, threads);
+                                ClusteredCounts::build_parallel(data, labels, *n_clusters, 1);
                             let table = ScoreTable::from_clustered_counts(&counts);
                             CountedTables { counts, table }
                         })
@@ -151,8 +149,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
                     Tables::Shared(tables)
                 }
                 None => {
-                    let counts =
-                        ClusteredCounts::build_parallel(data, labels, *n_clusters, threads);
+                    let counts = ClusteredCounts::build_parallel(data, labels, *n_clusters, 1);
                     let table = ScoreTable::from_clustered_counts(&counts);
                     Tables::Shared(Arc::new(CountedTables { counts, table }))
                 }
@@ -170,8 +167,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
 }
 
 /// Stage 1 of the paper: per-cluster top-`k` candidate selection, charged
-/// `ε_CandSet` under the label `stage1/select-candidates`. Per-cluster
-/// scoring and top-k fan out over the engine's worker threads.
+/// `ε_CandSet` under the label `stage1/select-candidates`.
 pub struct CandidateSelection;
 
 impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CandidateSelection {
@@ -182,7 +178,6 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CandidateSel
     fn run(&self, state: &mut EngineState<'_, M, R>) -> Result<Vec<(&'static str, f64)>, DpError> {
         let EngineState {
             config,
-            threads,
             rng,
             accountant,
             tables,
@@ -191,12 +186,11 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CandidateSel
         } = state;
         let eps_cand = Epsilon::new(config.eps_cand_set)?;
         let table = tables.as_ref().expect("BuildCounts ran").table();
-        let sets = select_candidates_with(
+        let sets = select_candidates(
             table,
             config.weights.gamma(),
             eps_cand,
             config.k,
-            *threads,
             &mut **rng,
         )?;
         accountant.charge("stage1/select-candidates", eps_cand)?;
@@ -255,8 +249,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CombinationS
 
 /// Histogram release: noisy full-data histograms per distinct selected
 /// attribute (sequential composition) and per-cluster histograms (parallel
-/// composition), charged `ε_Hist` in total. Releases fan out over the
-/// engine's worker threads. Fails with [`DpError::InvalidEpsilon`] when the
+/// composition), charged `ε_Hist` in total. Fails with [`DpError::InvalidEpsilon`] when the
 /// configuration carries no histogram budget (`eps_hist: None`).
 pub struct HistogramRelease;
 
@@ -268,7 +261,6 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for HistogramRel
     fn run(&self, state: &mut EngineState<'_, M, R>) -> Result<Vec<(&'static str, f64)>, DpError> {
         let EngineState {
             config,
-            threads,
             schema,
             mechanism,
             rng,
@@ -283,7 +275,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for HistogramRel
         let eps_hist = Epsilon::new(config.eps_hist.unwrap_or(f64::NAN))?;
         let t = tables.as_ref().expect("BuildCounts ran");
         let sel = assignment.as_ref().expect("CombinationSelection ran");
-        let expl = generate_histograms_with(
+        let expl = generate_histograms(
             schema,
             t.counts(),
             sel,
@@ -291,7 +283,6 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for HistogramRel
             *mechanism,
             config.consistency,
             accountant,
-            *threads,
             &mut **rng,
         )?;
         let mut distinct: Vec<usize> = sel.clone();

@@ -15,7 +15,7 @@ use crate::quality::diversity::pair_d;
 use crate::quality::interestingness::int_p;
 use crate::quality::score::Weights;
 use crate::quality::sufficiency::suf_p;
-use crate::stage2::generate_histograms_with;
+use crate::stage2::generate_histograms;
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Schema;
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -151,27 +151,6 @@ pub fn generate_multi_histograms<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     accountant: &mut Accountant,
     rng: &mut R,
 ) -> Result<Vec<GlobalExplanation>, DpError> {
-    generate_multi_histograms_with(
-        schema, counts, assignment, eps_hist, mechanism, accountant, 1, rng,
-    )
-}
-
-/// [`generate_multi_histograms`] with explicit worker-thread count: each
-/// slot's per-attribute and per-cluster releases fan out through
-/// [`crate::stage2::generate_histograms_with`], with the same
-/// bit-for-bit determinism guarantee (slots stay sequential — they compose
-/// sequentially in ε and share the master RNG stream in slot order).
-#[allow(clippy::too_many_arguments)] // mirrors generate_histograms_with
-pub fn generate_multi_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
-    schema: &Schema,
-    counts: &ClusteredCounts,
-    assignment: &MultiCombination,
-    eps_hist: Epsilon,
-    mechanism: &M,
-    accountant: &mut Accountant,
-    threads: usize,
-    rng: &mut R,
-) -> Result<Vec<GlobalExplanation>, DpError> {
     let ell = assignment.first().map_or(0, Vec::len);
     assert!(
         ell > 0,
@@ -188,7 +167,7 @@ pub fn generate_multi_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Si
     let mut out = Vec::with_capacity(ell);
     for j in 0..ell {
         let slot_assignment: Vec<usize> = assignment.iter().map(|s| s[j]).collect();
-        out.push(generate_histograms_with(
+        out.push(generate_histograms(
             schema,
             counts,
             &slot_assignment,
@@ -196,7 +175,6 @@ pub fn generate_multi_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Si
             mechanism,
             false,
             accountant,
-            threads,
             rng,
         )?);
     }

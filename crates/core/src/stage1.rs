@@ -9,7 +9,6 @@
 //! the paper notes.
 
 use crate::counts::ScoreTable;
-use crate::parallel::ordered_parallel_map;
 use crate::quality::score::sscore;
 use dpx_dp::budget::{Epsilon, Sensitivity};
 use dpx_dp::topk::one_shot_top_k;
@@ -25,30 +24,16 @@ pub type CandidateSets = Vec<Vec<usize>>;
 /// sets, satisfying `eps_cand_set`-DP overall (Proposition 5.1).
 ///
 /// `gamma` is `(γ_Int, γ_Suf)` (non-negative, sum 1).
+///
+/// Per-cluster RNGs are split from `rng` *up front* (one `u64` seed per
+/// cluster, drawn in cluster order), so every cluster's scoring-plus-top-k is
+/// a pure function of its seed. Seeded outputs match every earlier release of
+/// this stage, including the removed multi-threaded variant.
 pub fn select_candidates<R: Rng + ?Sized>(
     st: &ScoreTable,
     gamma: (f64, f64),
     eps_cand_set: Epsilon,
     k: usize,
-    rng: &mut R,
-) -> Result<CandidateSets, DpError> {
-    select_candidates_with(st, gamma, eps_cand_set, k, 1, rng)
-}
-
-/// [`select_candidates`] with explicit worker-thread count — the engine's
-/// Stage-1 entry point.
-///
-/// Per-cluster RNGs are split from `rng` *up front* (one `u64` seed per
-/// cluster, drawn in cluster order), so every cluster's scoring-plus-top-k is
-/// a pure function of its seed and the results are **bit-identical for every
-/// `threads` value**, including the `threads = 1` path that
-/// [`select_candidates`] takes.
-pub fn select_candidates_with<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    gamma: (f64, f64),
-    eps_cand_set: Epsilon,
-    k: usize,
-    threads: usize,
     rng: &mut R,
 ) -> Result<CandidateSets, DpError> {
     let n_clusters = st.n_clusters();
@@ -65,16 +50,15 @@ pub fn select_candidates_with<R: Rng + ?Sized>(
     // Lines 4–6: true scores; lines 5, 7–9 are the one-shot mechanism
     // (noise scale 2·Δ·k/ε_Topk is applied inside `one_shot_top_k`,
     // with Δ = 1 by Proposition 4.8).
-    let per_cluster: Vec<Result<Vec<usize>, DpError>> = ordered_parallel_map(
-        seeds.into_iter().enumerate().collect(),
-        threads,
-        |&(c, seed)| {
+    seeds
+        .into_iter()
+        .enumerate()
+        .map(|(c, seed)| {
             let scores: Vec<f64> = (0..n_attrs).map(|a| sscore(st, c, a, gamma)).collect();
             let mut task_rng = StdRng::seed_from_u64(seed);
             one_shot_top_k(&scores, k, eps_topk, Sensitivity::ONE, &mut task_rng)
-        },
-    );
-    per_cluster.into_iter().collect()
+        })
+        .collect()
 }
 
 /// Non-private variant used by the TabEE baseline and by diagnostics such as
@@ -175,28 +159,6 @@ mod tests {
             d.sort_unstable();
             d.dedup();
             assert_eq!(d.len(), 3, "candidates must be distinct");
-        }
-    }
-
-    #[test]
-    fn parallel_selection_is_bit_identical_to_sequential() {
-        let st = table();
-        let eps = Epsilon::new(1.0).unwrap();
-        for seed in 0..20 {
-            let seq = select_candidates(&st, (0.5, 0.5), eps, 2, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            for threads in [2, 4, 16] {
-                let par = select_candidates_with(
-                    &st,
-                    (0.5, 0.5),
-                    eps,
-                    2,
-                    threads,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .unwrap();
-                assert_eq!(par, seq, "seed {seed}, threads {threads}");
-            }
         }
     }
 

@@ -22,7 +22,6 @@
 
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
-use crate::parallel::ordered_parallel_map;
 use crate::quality::score::{GlScoreCache, Weights};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Schema;
@@ -417,40 +416,6 @@ pub fn generate_histograms<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     accountant: &mut Accountant,
     rng: &mut R,
 ) -> Result<GlobalExplanation, DpError> {
-    generate_histograms_with(
-        schema,
-        counts,
-        assignment,
-        eps_hist,
-        mechanism,
-        consistency,
-        accountant,
-        1,
-        rng,
-    )
-}
-
-/// [`generate_histograms`] with explicit worker-thread count — the engine's
-/// release stage.
-///
-/// Noise draws are split from `rng` up front (one seed per full-data
-/// histogram in distinct-attribute order, then one per cluster histogram in
-/// cluster order), each noisy release runs on its own `StdRng`, and the
-/// accountant is charged after the map in the same deterministic order as the
-/// sequential loop — so the released histograms and the audit trail are
-/// **bit-identical for every `threads` value**.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's parameter list
-pub fn generate_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
-    schema: &Schema,
-    counts: &ClusteredCounts,
-    assignment: &AttributeCombination,
-    eps_hist: Epsilon,
-    mechanism: &M,
-    consistency: bool,
-    accountant: &mut Accountant,
-    threads: usize,
-    rng: &mut R,
-) -> Result<GlobalExplanation, DpError> {
     let n_clusters = counts.n_clusters();
     assert_eq!(assignment.len(), n_clusters);
 
@@ -463,15 +428,19 @@ pub fn generate_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     let eps_all = eps_hist.split(2)?.split(distinct.len())?;
     let eps_cluster = eps_hist.split(2)?;
 
-    // Lines 8–10: full-data noisy histograms (sequential composition). Seeds
-    // are drawn in distinct-attribute order before the map; charges land in
-    // the same order after it.
+    // Lines 8–10: full-data noisy histograms (sequential composition). One
+    // seed per release is drawn up front, in distinct-attribute order, and
+    // each release runs on its own `StdRng` — the draw order every seeded
+    // output has been recorded with.
     let full_tasks: Vec<(usize, u64)> = distinct.iter().map(|&a| (a, rng.gen())).collect();
-    let full_noisy: Vec<Vec<f64>> = ordered_parallel_map(full_tasks, threads, |&(a, seed)| {
-        let h = counts.table(a).marginal_histogram();
-        let mut task_rng = StdRng::seed_from_u64(seed);
-        mechanism.privatize(h.counts(), eps_all, &mut task_rng)
-    });
+    let full_noisy: Vec<Vec<f64>> = full_tasks
+        .into_iter()
+        .map(|(a, seed)| {
+            let h = counts.table(a).marginal_histogram();
+            let mut task_rng = StdRng::seed_from_u64(seed);
+            mechanism.privatize(h.counts(), eps_all, &mut task_rng)
+        })
+        .collect();
     let mut full: Vec<(usize, Vec<f64>)> = Vec::with_capacity(distinct.len());
     for (&a, noisy) in distinct.iter().zip(full_noisy) {
         accountant.charge(
@@ -481,20 +450,21 @@ pub fn generate_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
         full.push((a, noisy));
     }
 
-    // Lines 11–15: per-cluster noisy histograms (parallel composition —
-    // in the privacy sense across disjoint clusters, and here also in the
-    // wall-clock sense).
+    // Lines 11–15: per-cluster noisy histograms (parallel composition
+    // across disjoint clusters).
     let cluster_tasks: Vec<(usize, usize, u64)> = assignment
         .iter()
         .enumerate()
         .map(|(c, &a)| (c, a, rng.gen()))
         .collect();
-    let mut cluster_noisy: Vec<Vec<f64>> =
-        ordered_parallel_map(cluster_tasks, threads, |&(c, a, seed)| {
+    let mut cluster_noisy: Vec<Vec<f64>> = cluster_tasks
+        .into_iter()
+        .map(|(c, a, seed)| {
             let h_c = counts.table(a).cluster_histogram(c);
             let mut task_rng = StdRng::seed_from_u64(seed);
             mechanism.privatize(h_c.counts(), eps_cluster, &mut task_rng)
-        });
+        })
+        .collect();
     for c in 0..n_clusters {
         accountant.charge_parallel("stage2/hist-cluster", format!("c{c}"), eps_cluster)?;
     }
@@ -1212,42 +1182,6 @@ mod tests {
         // |A'| = 1: full histogram at ε/2 once + cluster histograms ε/2 = ε.
         assert!((acc.spent() - 0.4).abs() < 1e-9, "spent {}", acc.spent());
         assert_eq!(acc.sequential_charges().count(), 1);
-    }
-
-    #[test]
-    fn parallel_histogram_release_is_bit_identical_to_sequential() {
-        let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
-        let eps = Epsilon::new(0.4).unwrap();
-        let release = |threads: usize, seed: u64| {
-            let mut acc = Accountant::new();
-            let mut r = StdRng::seed_from_u64(seed);
-            let expl = generate_histograms_with(
-                data.schema(),
-                &counts,
-                &vec![0, 1],
-                eps,
-                &GeometricHistogram,
-                false,
-                &mut acc,
-                threads,
-                &mut r,
-            )
-            .unwrap();
-            (expl, acc.spent())
-        };
-        for seed in [8, 81, 82] {
-            let (seq, seq_spent) = release(1, seed);
-            for threads in [2, 4, 8] {
-                let (par, par_spent) = release(threads, seed);
-                assert_eq!(par_spent, seq_spent);
-                for (p, s) in par.per_cluster.iter().zip(&seq.per_cluster) {
-                    assert_eq!(p.attribute, s.attribute);
-                    assert_eq!(p.hist_cluster, s.hist_cluster, "threads {threads}");
-                    assert_eq!(p.hist_rest, s.hist_rest, "threads {threads}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,27 +1,26 @@
 //! # dpx-runtime — deterministic parallel primitives for DPClustX
 //!
-//! The explanation pipeline parallelizes three very different shapes of work
-//! — per-task fan-out (Stage-1 scoring, histogram release), data-chunk
-//! count–merge (contingency counting), and bench-cell sweeps — and all of
-//! them must stay *bit-identical* to their sequential forms: DP releases are
-//! part of the privacy proof, so "parallel" may never mean "different".
+//! The workspace parallelizes two shapes of work — data-chunk count–merge
+//! (contingency counting) and bench-cell sweeps — and both must stay
+//! *bit-identical* to their sequential forms: DP releases are part of the
+//! privacy proof, so "parallel" may never mean "different". Requests are
+//! served concurrently by one engine only, the resident daemon in
+//! `dpx-serve`, whose workers each run one request on one thread; the
+//! engine's stages themselves are single-threaded.
 //!
 //! This crate holds the primitives that make that guarantee by
 //! construction, below every other workspace crate so `dpx-data` and
 //! `dpclustx` can share them:
 //!
 //! * [`ordered_parallel_map`] — apply a pure function to each item on worker
-//!   threads, results returned in input order (promoted here from
-//!   `dpclustx::parallel`, which re-exports this module).
+//!   threads, results returned in input order (the fig5/fig6 bench sweeps;
+//!   `dpclustx::parallel` re-exports it).
 //! * [`chunk_worker_reduce`] — the counts kernel's reduction: fixed-granule
 //!   chunks claimed by workers off an atomic counter, each worker folding
 //!   into **one reusable accumulator** (per-thread table reuse), partials
 //!   combined with a balanced [`pairwise_merge`] tree. With an associative,
 //!   commutative merge (e.g. element-wise integer addition) the reduction is
 //!   exactly the sequential result for every thread count.
-//! * [`ordered_parallel_map_catch`] — the serving-pool variant of the map:
-//!   per-item panic isolation (a panicking item becomes its own `Err` slot,
-//!   every other item still runs), same ordered, deterministic output.
 //!
 //! Robust serving adds two more process-level primitives, also below every
 //! other crate so the DP layer and the pipeline can share them:
@@ -43,7 +42,8 @@
 //!   followers block on the flight instead of duplicating the build, and a
 //!   panicking builder releases the key instead of wedging them.
 //!
-//! The resident serving daemon adds one admission primitive:
+//! The resident serving daemon — the one engine that runs requests
+//! concurrently — adds one admission primitive:
 //!
 //! * [`queue`] — a [`BoundedTenantQueue`]: bounded per-tenant lanes with
 //!   weighted round-robin dequeue, so backpressure is per tenant and one
@@ -61,9 +61,6 @@ pub mod singleflight;
 
 pub use batch::{BatchWindow, Batcher, Submit};
 pub use cancel::{CancelToken, REASON_DEADLINE};
-pub use parallel::{
-    chunk_worker_reduce, default_threads, ordered_parallel_map, ordered_parallel_map_catch,
-    pairwise_merge,
-};
+pub use parallel::{chunk_worker_reduce, default_threads, ordered_parallel_map, pairwise_merge};
 pub use queue::{BoundedTenantQueue, PushError};
 pub use singleflight::{Claim, FlightGuard, SingleFlight};

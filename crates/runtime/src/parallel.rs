@@ -1,10 +1,9 @@
 //! Ordered parallel map and the counts kernel's chunked reduction.
 //!
-//! The map started life in the bench crate as a sweep helper, was promoted to
-//! `dpclustx::parallel` by the staged engine, and now lives here — below
-//! `dpx-data` — so the contingency-counting kernel can use the same thread
-//! machinery as the pipeline stages. The contract that makes parallelism safe
-//! for DP pipelines is *determinism by construction*: `work` must be a pure
+//! The map started life in the bench crate as a sweep helper and now lives
+//! here — below `dpx-data` — beside the contingency-counting kernel's
+//! chunked reduction. The contract that makes parallelism safe for DP
+//! pipelines is *determinism by construction*: `work` must be a pure
 //! function of its item (callers split per-task RNG seeds up front), and
 //! results come back in input order regardless of which thread ran what — so
 //! `threads = 1` and `threads = N` are bit-identical.
@@ -76,69 +75,6 @@ where
     if let Some(payload) = panic_payload.into_inner().ok().flatten() {
         resume_unwind(payload);
     }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned slots")
-                .expect("every slot filled by the work loop")
-        })
-        .collect()
-}
-
-/// [`ordered_parallel_map`] with **per-item panic isolation**: a panic in
-/// `work` is captured as that item's `Err` (rendered to its message string)
-/// instead of aborting the whole map, and every other item still runs.
-///
-/// This is the worker-pool primitive for request serving: one hostile or
-/// buggy request must fail alone, not take down the batch. The counter-based
-/// job queue is the same as [`ordered_parallel_map`]'s — items are claimed in
-/// input order and results land in input-order slots, so the output is
-/// deterministic for deterministic `work` regardless of the thread count.
-pub fn ordered_parallel_map_catch<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    work: F,
-) -> Vec<Result<R, String>>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let run = |item: &T| {
-        catch_unwind(AssertUnwindSafe(|| work(item))).map_err(|payload| {
-            payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string())
-        })
-    };
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run(&items[i]);
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(result);
-                }
-            });
-        }
-    });
     slots
         .into_iter()
         .map(|slot| {
@@ -349,39 +285,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("boom at 13"), "got payload: {msg:?}");
-    }
-
-    #[test]
-    fn map_catch_isolates_panics_per_item() {
-        for threads in [1, 3, 8] {
-            let out = ordered_parallel_map_catch((0..32).collect::<Vec<i32>>(), threads, |&x| {
-                if x % 10 == 3 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), 32, "threads={threads}");
-            for (i, r) in out.iter().enumerate() {
-                if i % 10 == 3 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains(&format!("boom at {i}")), "got {msg:?}");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), 2 * i as i32, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_catch_empty_and_all_ok() {
-        let empty: Vec<Result<i32, String>> =
-            ordered_parallel_map_catch(Vec::new(), 4, |&x: &i32| x);
-        assert!(empty.is_empty());
-        let ok = ordered_parallel_map_catch(vec![1, 2, 3], 2, |&x| x + 1);
-        assert_eq!(
-            ok.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            vec![2, 3, 4]
-        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! The serving layer's privacy story rests on a handful of invariants that
 //! only matter under *hostile* load — a cooperative benchmark never probes
-//! them. This module drives [`ExplainService`] with adversarial traffic
+//! them. This module drives the resident [`Daemon`] (and, for the
+//! interference sweep, [`ExplainService`] directly) with adversarial traffic
 //! shapes and checks the invariants with the DP crate's
 //! [`AccountantProbe`](dpx_dp::AccountantProbe) (an atomic, one-lock
 //! snapshot of a shard's accounting):
@@ -12,11 +13,12 @@
 //!   near-empty shard. The cap must hold under every interleaving, every
 //!   served request must hold exactly one WAL grant, and the spent total
 //!   must equal the sum of served requests' ε.
-//! * [`replay_flood`] — already-granted ids are re-sent concurrently (the
-//!   crash-resume path abused as a replay attack) while fresh requests race
-//!   them. Replays must be byte-identical to the original responses and
-//!   spend **zero** additional ε; only the fresh requests may move the
-//!   accountant.
+//! * [`replay_flood`] — already-granted ids are re-sent concurrently to a
+//!   fresh daemon that recovered their grants (the crash-resume path abused
+//!   as a replay attack) while fresh requests race them. Each id executes
+//!   once, byte-identical to its original response, every further replay is
+//!   refused `duplicate_id`, and the flood spends **zero** additional ε;
+//!   only the fresh requests may move the accountant.
 //! * [`deadline_storm`] — already-expired requests (`deadline_ms: 0`) and
 //!   deadline-straddling requests race live ones. An expiry before the
 //!   grant commits must cost nothing; one after stays spent — so the spent
@@ -49,16 +51,16 @@
 //! One battery deliberately lives elsewhere: **chaos under storm** (killing
 //! the process at ledger fault points mid-storm) cannot run in-process —
 //! the fault points abort the whole process, test runner included — so it
-//! drives `dpclustx-cli serve-batch` as a child process from the CLI
-//! crate's crash matrix (`crates/cli/tests/crash_matrix.rs`).
+//! drives `dpclustx-cli serve-batch` (the daemon on a request file) as a
+//! child process from the CLI crate's crash matrix
+//! (`crates/cli/tests/crash_matrix.rs`).
 
 use crate::daemon::{Daemon, DaemonConfig, DaemonReply, ReplySink};
 use crate::registry::DatasetRegistry;
 use crate::request::{reject_reason, ExplainRequest, ExplainResponse};
-use crate::service::{reason, BatchOptions, ExplainService};
+use crate::service::{reason, ExplainService};
 use dpx_data::synth::diabetes;
 use dpx_dp::budget::Epsilon;
-use dpx_dp::histogram::GeometricHistogram;
 use dpx_dp::shards::ShardConfig;
 use dpx_dp::SharedAccountant;
 use rand::rngs::StdRng;
@@ -230,7 +232,7 @@ pub struct StormConfig {
     pub eps_whale: f64,
     /// The shard's ε cap.
     pub cap: f64,
-    /// Worker-pool width the storm runs on.
+    /// Daemon worker-pool width the storm runs on.
     pub workers: usize,
     /// Rows in the stormed dataset.
     pub rows: usize,
@@ -261,7 +263,6 @@ impl Default for StormConfig {
 pub fn budget_storm(config: &StormConfig) -> BatteryOutcome {
     let mut outcome = BatteryOutcome::new("budget_storm", config.seed);
     let registry = battery_registry(&[("storm", config.cap)], config.rows, config.seed);
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(config.workers);
 
     let mut state = config.seed;
     let mut requests: Vec<ExplainRequest> = Vec::with_capacity(config.small + config.whales);
@@ -284,7 +285,7 @@ pub fn budget_storm(config: &StormConfig) -> BatteryOutcome {
     shuffle(&mut requests, &mut state);
     let eps_of: BTreeMap<u64, f64> = requests.iter().map(|r| (r.id, r.total_epsilon())).collect();
 
-    let responses = service.run_batch(requests);
+    let responses = serve_storm(&registry, requests, config.workers, HashSet::new());
     outcome.total = responses.len();
     outcome.honest_total = config.small;
     let mut served_ids: Vec<u64> = Vec::new();
@@ -324,6 +325,39 @@ pub fn budget_storm(config: &StormConfig) -> BatteryOutcome {
         &eps_of,
     );
     outcome
+}
+
+/// Serves `requests` on a fresh daemon over `registry`, `workers` wide, and
+/// returns every response-class reply. All requests are submitted at once
+/// through [`Daemon::handle_request`], so they race on the pool; the queue
+/// holds them all and the drain lets every one finish, so admission sheds
+/// nothing for lack of room or time. `granted` is the daemon's
+/// recovered-grant set (see [`DaemonConfig::granted`]).
+fn serve_storm(
+    registry: &Arc<DatasetRegistry>,
+    requests: Vec<ExplainRequest>,
+    workers: usize,
+    granted: HashSet<u64>,
+) -> Vec<ExplainResponse> {
+    let daemon = Daemon::new(
+        Arc::clone(registry),
+        DaemonConfig {
+            workers,
+            queue_capacity: requests.len().max(1),
+            drain_deadline_ms: 120_000,
+            granted,
+            ..Default::default()
+        },
+    );
+    let handles = daemon.start();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let sink = collecting_sink(&replies);
+    for request in requests {
+        daemon.handle_request(request, &sink);
+    }
+    daemon.drain_and_join(handles);
+    let replies = replies.lock().unwrap_or_else(PoisonError::into_inner);
+    replies.clone()
 }
 
 /// Checks the structural accounting invariants shared by the batteries:
@@ -394,15 +428,19 @@ impl Default for ReplayFloodConfig {
 /// Runs a duplicate-id replay flood and checks the zero-ε replay
 /// invariants.
 ///
-/// Invariants: every replayed response is byte-identical to the original
-/// grant's response; the flood adds **zero** ε and zero charges beyond the
-/// fresh requests' own; the WAL holds exactly one grant per distinct id
-/// (the probe's duplicate-grant check); the shard probe reports no
-/// violation.
+/// The victims are granted on one daemon; the flood then hits a **fresh**
+/// daemon that holds their grants as recovered (the resume path), so each
+/// victim id is admitted once more and its later replays are duplicates.
+///
+/// Invariants: each victim id is executed exactly once by the flood, and
+/// that answer is byte-identical to the original grant's response; every
+/// other replay is refused `duplicate_id`; the flood adds **zero** ε and
+/// zero charges beyond the fresh requests' own; the WAL holds exactly one
+/// grant per distinct id (the probe's duplicate-grant check); the shard
+/// probe reports no violation.
 pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
     let mut outcome = BatteryOutcome::new("replay_flood", config.seed);
     let registry = battery_registry(&[("replay", config.cap)], config.rows, config.seed);
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(config.workers);
 
     let mut state = config.seed;
     let victims: Vec<ExplainRequest> = (0..config.victims)
@@ -412,11 +450,11 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
         victims.iter().map(|r| (r.id, r.total_epsilon())).collect();
 
     // Phase 1: grant the victims normally and remember their exact bytes.
-    let baseline: BTreeMap<u64, String> = service
-        .run_batch(victims.clone())
-        .iter()
-        .map(|r| (r.id, r.to_json_line()))
-        .collect();
+    let baseline: BTreeMap<u64, String> =
+        serve_storm(&registry, victims.clone(), config.workers, HashSet::new())
+            .iter()
+            .map(|r| (r.id, r.to_json_line()))
+            .collect();
     let entry = registry.get("replay").expect("registered");
     let accountant = entry.accountant();
     let spent_before = accountant.spent();
@@ -431,7 +469,7 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
     }
 
     // Phase 2: the flood — every victim re-sent `replays` times, shuffled
-    // in with fresh requests, all racing on the worker pool.
+    // in with fresh requests, all racing on a fresh daemon's worker pool.
     let mut flood: Vec<ExplainRequest> = Vec::new();
     for _ in 0..config.replays {
         flood.extend(victims.iter().cloned());
@@ -444,13 +482,10 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
     shuffle(&mut flood, &mut state);
     outcome.total = flood.len();
     outcome.honest_total = config.fresh;
-    let opts = BatchOptions {
-        granted: granted_ids.clone(),
-        ..Default::default()
-    };
-    let responses = service.run_batch_streamed(flood, &opts, &GeometricHistogram, None);
+    let responses = serve_storm(&registry, flood, config.workers, granted_ids.clone());
 
     let mut fresh_served: Vec<u64> = Vec::new();
+    let mut replays_executed: BTreeMap<u64, usize> = BTreeMap::new();
     for response in &responses {
         if response.is_ok() {
             outcome.admitted += 1;
@@ -458,6 +493,10 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
             outcome.rejected += 1;
         }
         if granted_ids.contains(&response.id) {
+            if response.reason.as_deref() == Some(reject_reason::DUPLICATE_ID) {
+                continue;
+            }
+            *replays_executed.entry(response.id).or_default() += 1;
             match baseline.get(&response.id) {
                 Some(expected) if *expected == response.to_json_line() => {}
                 Some(_) => outcome.violation(format!(
@@ -477,6 +516,15 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
                     response.outcome.as_ref().err()
                 ));
             }
+        }
+    }
+
+    for id in &granted_ids {
+        let executed = replays_executed.get(id).copied().unwrap_or(0);
+        if executed != 1 {
+            outcome.violation(format!(
+                "victim id {id} was executed {executed} times by the flood, want exactly once"
+            ));
         }
     }
 
@@ -547,7 +595,6 @@ impl Default for DeadlineStormConfig {
 pub fn deadline_storm(config: &DeadlineStormConfig) -> BatteryOutcome {
     let mut outcome = BatteryOutcome::new("deadline_storm", config.seed);
     let registry = battery_registry(&[("deadline", config.cap)], config.rows, config.seed);
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(config.workers);
 
     let mut state = config.seed;
     let mut requests: Vec<ExplainRequest> = Vec::new();
@@ -572,7 +619,7 @@ pub fn deadline_storm(config: &DeadlineStormConfig) -> BatteryOutcome {
     shuffle(&mut requests, &mut state);
     let eps_of: BTreeMap<u64, f64> = requests.iter().map(|r| (r.id, r.total_epsilon())).collect();
 
-    let responses = service.run_batch(requests);
+    let responses = serve_storm(&registry, requests, config.workers, HashSet::new());
     outcome.total = responses.len();
     outcome.honest_total = config.live;
     let entry = registry.get("deadline").expect("registered");
@@ -695,7 +742,7 @@ pub fn interference(config: &InterferenceConfig) -> BatteryOutcome {
 
     // Solo baseline: the victim alone on a fresh registry.
     let solo_registry = battery_registry(&[("victim", victim_cap)], config.rows, config.seed);
-    let solo_service = ExplainService::new(Arc::clone(&solo_registry)).with_workers(1);
+    let solo_service = ExplainService::new(Arc::clone(&solo_registry));
     let (solo_latencies, solo_served) = run_victims(&solo_service);
     if solo_served != config.victims {
         outcome.violation(format!(
@@ -711,7 +758,7 @@ pub fn interference(config: &InterferenceConfig) -> BatteryOutcome {
         config.rows,
         config.seed,
     );
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(1);
+    let service = ExplainService::new(Arc::clone(&registry));
     let spam_served = Mutex::new(0usize);
     let (storm_latencies, storm_served) = std::thread::scope(|scope| {
         for worker in 0..config.adversary_workers {
@@ -824,56 +871,35 @@ impl Default for OverloadStormConfig {
     }
 }
 
-/// What one daemon reply carried, captured off the [`ReplySink`].
-#[derive(Debug, Clone)]
-struct ReplyRecord {
-    id: u64,
-    ok: bool,
-    reason: Option<String>,
-    retry_after_ms: Option<u64>,
-}
-
-impl ReplyRecord {
-    fn of(response: &ExplainResponse) -> Self {
-        ReplyRecord {
-            id: response.id,
-            ok: response.is_ok(),
-            reason: response.reason.clone(),
-            retry_after_ms: response.retry_after_ms,
-        }
-    }
-}
-
 /// A sink that appends every response-class reply to `into`.
-fn collecting_sink(into: &Arc<Mutex<Vec<ReplyRecord>>>) -> ReplySink {
+fn collecting_sink(into: &Arc<Mutex<Vec<ExplainResponse>>>) -> ReplySink {
     let into = Arc::clone(into);
     Arc::new(move |reply: DaemonReply<'_>| {
         if let DaemonReply::Response(response) = reply {
             into.lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .push(ReplyRecord::of(response));
+                .push(response.clone());
         }
     })
 }
 
 /// Submits `requests` to `daemon` one at a time, each waiting for its own
 /// reply (request-reply discipline: the tenant's lane depth never exceeds
-/// one). Returns sorted latencies and the per-request records.
+/// one). Returns sorted latencies and the per-request replies.
 fn run_request_reply(
     daemon: &Daemon,
     requests: &[ExplainRequest],
-) -> (Vec<Duration>, Vec<ReplyRecord>) {
+) -> (Vec<Duration>, Vec<ExplainResponse>) {
     let mut latencies = Vec::with_capacity(requests.len());
     let mut records = Vec::with_capacity(requests.len());
     for request in requests {
-        let slot: Arc<(Mutex<Option<ReplyRecord>>, Condvar)> =
+        let slot: Arc<(Mutex<Option<ExplainResponse>>, Condvar)> =
             Arc::new((Mutex::new(None), Condvar::new()));
         let sink: ReplySink = {
             let slot = Arc::clone(&slot);
             Arc::new(move |reply: DaemonReply<'_>| {
                 if let DaemonReply::Response(response) = reply {
-                    *slot.0.lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some(ReplyRecord::of(response));
+                    *slot.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(response.clone());
                     slot.1.notify_all();
                 }
             })
@@ -934,10 +960,10 @@ pub fn overload_storm(config: &OverloadStormConfig) -> BatteryOutcome {
     let solo_workers = solo_daemon.start();
     let (solo_latencies, solo_records) = run_request_reply(&solo_daemon, &honest_requests);
     let solo_summary = solo_daemon.drain_and_join(solo_workers);
-    if solo_records.iter().filter(|r| r.ok).count() != config.honest {
+    if solo_records.iter().filter(|r| r.is_ok()).count() != config.honest {
         outcome.violation(format!(
             "solo baseline served {}/{} honest requests",
-            solo_records.iter().filter(|r| r.ok).count(),
+            solo_records.iter().filter(|r| r.is_ok()).count(),
             config.honest
         ));
     }
@@ -980,7 +1006,7 @@ pub fn overload_storm(config: &OverloadStormConfig) -> BatteryOutcome {
 
     outcome.total = config.honest + config.flood;
     outcome.honest_total = config.honest;
-    outcome.honest_admitted = honest_records.iter().filter(|r| r.ok).count();
+    outcome.honest_admitted = honest_records.iter().filter(|r| r.is_ok()).count();
     if outcome.honest_admitted != config.honest {
         outcome.violation(format!(
             "honest tenant served {}/{} under the flood — request-reply traffic must never be shed",
@@ -997,7 +1023,7 @@ pub fn overload_storm(config: &OverloadStormConfig) -> BatteryOutcome {
     let mut honest_served: Vec<u64> = Vec::new();
     let mut flood_served: Vec<u64> = Vec::new();
     for record in honest_records.iter().chain(flood_records.iter()) {
-        if record.ok {
+        if record.is_ok() {
             outcome.admitted += 1;
             if record.id < 70_000 {
                 honest_served.push(record.id);

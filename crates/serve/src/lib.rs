@@ -16,43 +16,47 @@
 //!   each response carries the explanation plus per-stage observer summaries,
 //!   serialized so that sorted response lines are byte-identical for every
 //!   worker count (wall-clock and scheduling-dependent fields are excluded).
-//! * [`ExplainService`] — the batch executor on the runtime crate's
-//!   counter-claimed job queue: requests are claimed in input order by up to
-//!   N workers, responses land in input-order slots, and a panicking request
-//!   fails alone while the pool keeps serving. `{"op": "append"}` requests
-//!   grow a registered dataset in place — they spend no ε, refresh every
-//!   served clustering's cached counts incrementally via
+//! * [`ExplainService`] — the per-request executor: validate, reserve the
+//!   request's whole ε, run the staged engine, build the response.
+//!   `{"op": "append"}` requests grow a registered dataset in place — they
+//!   spend no ε, refresh every served clustering's cached counts
+//!   incrementally via
 //!   [`ClusteredCounts::apply_delta`](dpx_data::contingency::ClusteredCounts::apply_delta)
-//!   (O(|delta|), never a rebuild), and act as ordering barriers inside a
-//!   batch so explains before/after an append see exactly the dataset
-//!   version input order dictates.
+//!   (O(|delta|), never a rebuild), and run one at a time per registry.
+//! * [`Daemon`] — the one engine that runs requests concurrently, for every
+//!   transport: bounded per-tenant queues, typed admission rejects, rolling
+//!   metrics, a per-request unwind guard, and graceful drain. Its line
+//!   transport ([`serve_lines`], behind `--requests` and stdin) is
+//!   closed-loop — at most `queue_capacity` requests unanswered, every
+//!   append a barrier, no rolling-latency deadline pricing — so a request
+//!   file's answers are a function of the file alone, for any worker count.
+//!   The socket transport ([`serve_socket`]) keeps full admission control.
 //!
 //! Crash safety rides on the DP crate's sharded write-ahead ledgers: a
 //! durable registry ([`DatasetRegistry::with_shards`]) gives every dataset
 //! its own accountant shard with its own WAL file, each grant fsynced
 //! before `try_spend` reports success and each shard recovered
-//! independently on restart. [`BatchOptions::granted`] lets a restarted
-//! batch skip re-spending for recovered request ids,
-//! [`BatchOptions::checkpoint_every`] bounds replay by compacting each
-//! shard's WAL to a checkpoint record, and
-//! [`ExplainService::run_batch_streamed`] streams each response to a sink as
-//! it is produced so a crash loses at most the in-flight lines. Under
-//! contention the ledger **group-commits**: concurrent spenders' grants are
-//! appended and fsynced as one batch by a leader thread (see
-//! [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)), every spend still
-//! acking only after *its own* record is durable. Requests are
-//! deadline-bounded cooperatively: a [`CancelToken`](dpx_runtime::CancelToken)
-//! minted before the spend bounds time queued in the commit window, time
-//! blocked on another request's in-flight counts build, and the engine's
-//! stage boundaries. A request that expires *before* its grant commits
-//! answers `ok: false` with reason `deadline_exceeded` and spends no ε; one
-//! that expires later keeps its reserved ε spent.
+//! independently on restart. [`DaemonConfig::granted`] lets a restarted
+//! daemon skip re-spending for recovered request ids,
+//! [`DaemonConfig::checkpoint_every`] bounds replay by compacting each
+//! shard's WAL to a checkpoint record, and every response is handed to the
+//! transport's reply sink as it is produced, so a crash loses at most the
+//! in-flight lines. Under contention the ledger **group-commits**:
+//! concurrent spenders' grants are appended and fsynced as one batch by a
+//! leader thread (see [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)),
+//! every spend still acking only after *its own* record is durable.
+//! Requests are deadline-bounded cooperatively: a
+//! [`CancelToken`](dpx_runtime::CancelToken) minted before the spend bounds
+//! time queued in the commit window, time blocked on another request's
+//! in-flight counts build, and the engine's stage boundaries. A request that
+//! expires *before* its grant commits answers `ok: false` with reason
+//! `deadline_exceeded` and spends no ε; one that expires later keeps its
+//! reserved ε spent.
 //!
-//! The `dpclustx-cli serve-batch` subcommand wires this crate to files:
-//! JSONL requests in, JSONL responses (sorted by id) out. For a process
-//! that *stays up* — bounded per-tenant queues, typed admission rejects,
-//! rolling metrics, and graceful drain — see the [`daemon`] module behind
-//! `dpclustx-cli serve-daemon`.
+//! `dpclustx-cli serve-daemon` wires the daemon to stdin, a request file, or
+//! a Unix socket; `dpclustx-cli serve-batch` is the same command with a
+//! request file required: JSONL requests in, JSONL responses (sorted by id)
+//! out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,7 +87,4 @@ pub use request::{
     reject_reason, ExplainRequest, ExplainResponse, RequestOp, ServedExplanation, ServedOutcome,
     StageSummary, WireReject,
 };
-pub use service::{
-    parse_requests, parse_requests_lenient, reason, reject_response, write_responses, BatchOptions,
-    ExplainService, ServeError,
-};
+pub use service::{parse_requests_lenient, reason, ExplainService};

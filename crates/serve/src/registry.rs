@@ -206,6 +206,10 @@ impl DatasetEntry {
 pub struct DatasetRegistry {
     shards: Arc<AccountantShards>,
     entries: Mutex<HashMap<String, Arc<DatasetEntry>>>,
+    /// Held by [`DatasetRegistry::append_rows`] from reading the entry to
+    /// swapping in its successor, so two appends cannot both grow the same
+    /// parent and lose one delta. Explains never take it.
+    appends: Mutex<()>,
 }
 
 impl Default for DatasetRegistry {
@@ -226,6 +230,7 @@ impl DatasetRegistry {
         DatasetRegistry {
             shards,
             entries: Mutex::new(HashMap::new()),
+            appends: Mutex::new(()),
         }
     }
 
@@ -324,9 +329,17 @@ impl DatasetRegistry {
     ///    cache (appends spend no ε — the budget they affect is future
     ///    queries', which the accountant already meters per request).
     ///
+    /// Appends run one at a time per registry: each one reads the entry the
+    /// previous append installed (read → concat → swap is one critical
+    /// section). Explains never wait on it; they keep reading whichever
+    /// entry is current.
+    ///
     /// Errors (unknown dataset, schema violation) are returned as the wire
     /// error string; the registry is unchanged on any error.
     pub fn append_rows(&self, name: &str, rows: &[Vec<u32>]) -> Result<AppendSummary, String> {
+        // Poison-tolerant: the guarded state is the entry map, whose inserts
+        // are all-or-nothing, so a panicked append left nothing half-done.
+        let _serial = self.appends.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = self
             .get(name)
             .ok_or_else(|| format!("unknown dataset '{name}'"))?;
@@ -573,6 +586,49 @@ mod tests {
         let err = registry.append_rows("d", &[vec![0]]).unwrap_err();
         assert!(!err.is_empty());
         assert_eq!(registry.get("d").unwrap().data().n_rows(), data.n_rows());
+    }
+
+    #[test]
+    fn concurrent_appends_serialize_and_lose_no_rows() {
+        use std::sync::Barrier;
+        let mut rng = StdRng::seed_from_u64(9);
+        let base = Arc::new(diabetes::spec(2).generate(20_000, &mut rng).data);
+        let base_rows = base.n_rows() as u64;
+        let arity = base.schema().arity();
+        const DELTA: u64 = 300;
+        // Disjoint deltas: every row of one is all-zero, of the other all-one.
+        let deltas: Vec<Vec<Vec<u32>>> = (0..2u32)
+            .map(|value| (0..DELTA).map(|_| vec![value; arity]).collect())
+            .collect();
+        for round in 0..20 {
+            let registry = DatasetRegistry::new();
+            registry.register("d", Arc::clone(&base), None);
+            let barrier = Barrier::new(deltas.len());
+            let mut totals: Vec<u64> = std::thread::scope(|scope| {
+                let handles: Vec<_> = deltas
+                    .iter()
+                    .map(|rows| {
+                        let (registry, barrier) = (&registry, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            registry.append_rows("d", rows).unwrap().total_rows
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            totals.sort_unstable();
+            assert_eq!(
+                registry.get("d").unwrap().data().n_rows() as u64,
+                base_rows + 2 * DELTA,
+                "round {round}: an append's rows were lost"
+            );
+            assert_eq!(
+                totals,
+                vec![base_rows + DELTA, base_rows + 2 * DELTA],
+                "round {round}: both appends grew the same parent"
+            );
+        }
     }
 
     #[test]

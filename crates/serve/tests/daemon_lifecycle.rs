@@ -319,7 +319,7 @@ fn socket_transport_round_trips_and_forwards_only_responses_durably() {
 }
 
 #[test]
-fn serve_lines_skips_resumed_ids_without_consuming_them() {
+fn serve_lines_skips_resumed_ids_and_keeps_them_admitted() {
     let registry = registry_with("d", 10.0);
     let daemon = Daemon::new(Arc::clone(&registry), DaemonConfig::default());
     let wire = Arc::new(Wire::default());
@@ -331,15 +331,28 @@ fn serve_lines_skips_resumed_ids_without_consuming_them() {
     input.push('\n');
     input.push_str(&request(2, "d").to_json_line());
     input.push('\n');
+    // A replay of id 1, refused in the uninterrupted run as well.
+    input.push_str(&request(1, "d").to_json_line());
+    input.push('\n');
 
-    // id 1 was already answered by the previous (crashed) run: skip it.
+    // id 1 was already answered by the previous (crashed) run: its first
+    // line is skipped, and the id stays admitted.
     let skip: HashSet<u64> = [1].into_iter().collect();
     serve_lines(&daemon, input.as_bytes(), &sink, &skip).expect("in-memory transport");
     let summary = daemon.drain_and_join(workers);
     assert_eq!(summary.drain_reason, "transport closed", "EOF drains too");
     assert_eq!(summary.served, 1);
 
-    let responses = wire.responses();
-    assert_eq!(responses.len(), 1);
-    assert!(responses[0].contains(r#""id":2"#), "{:?}", responses);
+    let mut responses = wire.responses();
+    responses.sort();
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(
+        responses[0].starts_with(r#"{"id":1,"ok":false"#),
+        "{responses:?}"
+    );
+    assert!(
+        responses[0].contains(reject_reason::DUPLICATE_ID),
+        "{responses:?}"
+    );
+    assert!(responses[1].contains(r#""id":2"#), "{responses:?}");
 }

@@ -6,12 +6,10 @@ use dpclustx::framework::{DpClustX, DpClustXConfig};
 use dpclustx::stage2::generate_histograms;
 use dpclustx_suite::prelude::*;
 use dpx_data::contingency::ClusteredCounts;
-use dpx_dp::histogram::{GeometricHistogram, HistogramMechanism};
-use dpx_serve::{DatasetRegistry, ExplainRequest, ExplainService};
+use dpx_dp::histogram::HistogramMechanism;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// A hostile `M_hist`: returns huge negatives, zeros, and giant positives
 /// regardless of the input (it is still "a mechanism" API-wise; DPClustX must
@@ -118,75 +116,6 @@ fn k_exceeding_attribute_count_is_a_clean_error() {
         .explain(&data, &labels, 2, &mut rng)
         .unwrap_err();
     assert!(matches!(err, dpx_dp::DpError::NotEnoughCandidates { .. }));
-}
-
-/// A mechanism with a planted fault: it panics whenever a single release is
-/// asked to spend more than `threshold` ε, and is the honest geometric
-/// mechanism below it. Requests with a small `eps_hist` sail through; a
-/// request with a huge `eps_hist` is the cue that detonates it — which lets
-/// one batch mix healthy and panicking requests through the serving pool.
-struct PanicAboveEps {
-    threshold: f64,
-}
-
-impl HistogramMechanism for PanicAboveEps {
-    fn privatize<R: Rng + ?Sized>(&self, counts: &[u64], eps: Epsilon, rng: &mut R) -> Vec<f64> {
-        if eps.get() > self.threshold {
-            panic!("injected mechanism fault at eps {}", eps.get());
-        }
-        GeometricHistogram.privatize(counts, eps, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "panic-above-eps"
-    }
-}
-
-#[test]
-fn panicking_request_fails_alone_and_the_pool_keeps_serving() {
-    let (data, _) = world();
-    let registry = Arc::new(DatasetRegistry::new());
-    registry.register("default", Arc::new(data), None);
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(4);
-
-    // Default requests spend eps_hist = 0.1, split across releases — every
-    // single release is ≤ 0.05, far under the 1.0 trip wire. The poisoned
-    // request asks for eps_hist = 40: its per-release spend is at least
-    // 40 / (2 · n_clusters) = 10, which detonates the planted fault
-    // mid-pipeline, *after* its budget reservation and counts build.
-    let mut requests: Vec<ExplainRequest> = (0..5).map(ExplainRequest::new).collect();
-    requests[2].eps_hist = Some(40.0);
-
-    let mechanism = PanicAboveEps { threshold: 1.0 };
-    let responses = service.run_batch_with_mechanism(requests, &mechanism);
-    assert_eq!(responses.len(), 5);
-    for (i, response) in responses.iter().enumerate() {
-        if i == 2 {
-            let err = response.outcome.as_ref().unwrap_err();
-            assert!(
-                err.contains("worker panicked") && err.contains("injected mechanism fault"),
-                "poisoned request must surface the panic, got: {err}"
-            );
-        } else {
-            assert!(
-                response.is_ok(),
-                "request {i} must be unaffected: {:?}",
-                response.outcome
-            );
-        }
-    }
-
-    // The pool, the shared cache, and the accountant survive the panic: a
-    // follow-up batch on the same service serves normally, and the ledger
-    // still holds one reservation per accepted request (the poisoned
-    // request's ε stays spent — reserved budget is never refunded after a
-    // partial release).
-    let entry = registry.get("default").expect("registered");
-    assert_eq!(entry.accountant().num_charges(), 5);
-    assert!(!entry.cache().is_empty(), "cache not wedged by the panic");
-    let again = service.run_batch((10..14).map(ExplainRequest::new).collect::<Vec<_>>());
-    assert!(again.iter().all(dpx_serve::ExplainResponse::is_ok));
-    assert_eq!(entry.accountant().num_charges(), 9);
 }
 
 #[test]

@@ -1,16 +1,20 @@
-//! Determinism-under-concurrency battery: a fixed JSONL batch with
-//! per-request seeds must serve to bit-identical response streams at worker
-//! counts 1, 2, and 7 — including when requests share the counts cache, and
-//! including the rendered JSONL bytes, not just the parsed values.
+//! Determinism-under-concurrency battery: a fixed JSONL file with
+//! per-request seeds, served through the daemon's line transport, must give
+//! bit-identical response streams at worker counts 1, 2, and 7 — including
+//! when requests share the counts cache, and including the rendered JSONL
+//! bytes, not just the parsed values.
 
 use dpx_data::csv::write_csv;
 use dpx_data::schema_io::write_schema;
 use dpx_data::synth;
 use dpx_dp::budget::Epsilon;
-use dpx_serve::{parse_requests, write_responses, DatasetRegistry, ExplainRequest, ExplainService};
+use dpx_serve::{
+    serve_lines, Daemon, DaemonConfig, DaemonReply, DatasetRegistry, ExplainResponse, ReplySink,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// The fixed batch: unsorted ids, explicit seeds, three distinct clusterings
 /// (so the shared cache has both hits and misses), per-request kernel and
@@ -38,20 +42,58 @@ fn registry() -> Arc<DatasetRegistry> {
     registry
 }
 
+/// Serves the JSONL `lines` through a fresh daemon's line transport, as
+/// `serve-batch` does, and returns the responses sorted by id.
+fn serve_lines_sorted(
+    registry: &Arc<DatasetRegistry>,
+    lines: &str,
+    workers: usize,
+    granted: HashSet<u64>,
+) -> Vec<ExplainResponse> {
+    let daemon = Daemon::new(
+        Arc::clone(registry),
+        DaemonConfig {
+            workers,
+            granted,
+            ..Default::default()
+        },
+    );
+    let handles = daemon.start();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let sink: ReplySink = {
+        let replies = Arc::clone(&replies);
+        Arc::new(move |reply: DaemonReply<'_>| {
+            if let DaemonReply::Response(response) = reply {
+                replies.lock().unwrap().push(response.clone());
+            }
+        })
+    };
+    serve_lines(&daemon, lines.as_bytes(), &sink, &HashSet::new()).expect("in-memory read");
+    let summary = daemon.drain_and_join(handles);
+    assert!(summary.clean(), "{summary:?}");
+    let mut responses = replies.lock().unwrap().clone();
+    responses.sort_by_key(|r| r.id);
+    responses
+}
+
+/// The rendered JSONL stream, one line per response.
+fn render(responses: &[ExplainResponse]) -> Vec<u8> {
+    responses
+        .iter()
+        .flat_map(|r| format!("{}\n", r.to_json_line()).into_bytes())
+        .collect()
+}
+
 fn serve_sorted_bytes(workers: usize) -> Vec<u8> {
     let registry = registry();
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(workers);
-    let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
-    assert_eq!(requests.len(), 8);
-    let responses = service.run_batch(requests);
+    let responses = serve_lines_sorted(&registry, BATCH, workers, HashSet::new());
+    assert_eq!(responses.len(), 8);
     // The shared cache memoized each distinct (cluster_by, n_clusters)
     // clustering once — (0,3), (2,2), (4,4), and (0,2) from the request
     // that fails only at the release stage — not once per request.
     let entry = registry.get("default").expect("registered");
     assert_eq!(entry.cache().len(), 4, "workers={workers}");
-    let mut bytes = Vec::new();
-    write_responses(&responses, &mut bytes).expect("in-memory write");
-    bytes
+    render(&responses)
 }
 
 #[test]
@@ -92,16 +134,12 @@ fn same_seed_same_request_serves_identical_explanations() {
     // Two requests differing only in id must produce identical payloads:
     // the engine RNG is a function of the request seed, never of worker
     // identity or accountant state.
-    let registry = registry();
-    let service = ExplainService::new(registry).with_workers(4);
-    let mut a = ExplainRequest::new(1);
-    let mut b = ExplainRequest::new(2);
-    a.seed = 77;
-    b.seed = 77;
-    a.n_clusters = 3;
-    b.n_clusters = 3;
-    let batch = service.run_batch(vec![a, b]);
-    let (ra, rb) = (batch[0].outcome.as_ref(), batch[1].outcome.as_ref());
+    let twins = concat!(
+        "{\"id\": 1, \"seed\": 77, \"n_clusters\": 3}\n",
+        "{\"id\": 2, \"seed\": 77, \"n_clusters\": 3}\n",
+    );
+    let served = serve_lines_sorted(&registry(), twins, 4, HashSet::new());
+    let (ra, rb) = (served[0].outcome.as_ref(), served[1].outcome.as_ref());
     assert_eq!(ra.unwrap(), rb.unwrap());
 }
 
@@ -138,9 +176,6 @@ fn jsonl_roundtrip_through_files_matches_in_memory_serving() {
         Arc::new(reloaded),
         Some(Epsilon::new(100.0).unwrap()),
     );
-    let service = ExplainService::new(registry).with_workers(2);
-    let responses = service.run_batch(parse_requests(BATCH.as_bytes()).unwrap());
-    let mut bytes = Vec::new();
-    write_responses(&responses, &mut bytes).unwrap();
+    let bytes = render(&serve_lines_sorted(&registry, BATCH, 2, HashSet::new()));
     assert_eq!(bytes, in_memory, "file roundtrip changed the responses");
 }

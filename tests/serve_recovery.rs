@@ -5,8 +5,8 @@
 //!
 //! * a ledgered accountant's grants survive a drop-and-recover cycle with the
 //!   exact spend and request ids;
-//! * a restarted batch that passes the recovered ids through
-//!   [`BatchOptions::granted`] reproduces byte-identical responses without
+//! * a restarted daemon that holds the recovered ids in
+//!   [`DaemonConfig::granted`] reproduces byte-identical responses without
 //!   charging a second time;
 //! * deadline cancellation surfaces as a typed engine error with the reserved
 //!   ε deliberately left spent.
@@ -17,13 +17,14 @@ use dpx_dp::ledger::recover;
 use dpx_dp::DpError;
 use dpx_runtime::{CancelToken, REASON_DEADLINE};
 use dpx_serve::{
-    parse_requests, AccountantShards, BatchOptions, DatasetRegistry, ExplainService, ShardConfig,
+    serve_lines, AccountantShards, Daemon, DaemonConfig, DaemonReply, DatasetRegistry,
+    ExplainResponse, ReplySink, ShardConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BATCH: &str = r#"
@@ -58,26 +59,49 @@ fn registry_with_ledger(
     (registry, granted)
 }
 
+/// Serves the JSONL `lines` through a fresh daemon's line transport, as
+/// `serve-batch` does, and returns the responses sorted by id.
+fn serve_lines_sorted(
+    registry: &Arc<DatasetRegistry>,
+    lines: &str,
+    workers: usize,
+    granted: HashSet<u64>,
+) -> Vec<ExplainResponse> {
+    let daemon = Daemon::new(
+        Arc::clone(registry),
+        DaemonConfig {
+            workers,
+            granted,
+            ..Default::default()
+        },
+    );
+    let handles = daemon.start();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let sink: ReplySink = {
+        let replies = Arc::clone(&replies);
+        Arc::new(move |reply: DaemonReply<'_>| {
+            if let DaemonReply::Response(response) = reply {
+                replies.lock().unwrap().push(response.clone());
+            }
+        })
+    };
+    serve_lines(&daemon, lines.as_bytes(), &sink, &HashSet::new()).expect("in-memory read");
+    let summary = daemon.drain_and_join(handles);
+    assert!(summary.clean(), "{summary:?}");
+    let mut responses = replies.lock().unwrap().clone();
+    responses.sort_by_key(|r| r.id);
+    responses
+}
+
 fn response_lines(
     registry: &Arc<DatasetRegistry>,
     granted: HashSet<u64>,
     workers: usize,
 ) -> Vec<String> {
-    let service = ExplainService::new(Arc::clone(registry)).with_workers(workers);
-    let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
-    let opts = BatchOptions {
-        deadline_ms: None,
-        granted,
-        checkpoint_every: None,
-    };
-    let mut responses = service.run_batch_streamed(
-        requests,
-        &opts,
-        &dpx_dp::histogram::GeometricHistogram,
-        None,
-    );
-    responses.sort_by_key(|r| r.id);
-    responses.iter().map(|r| r.to_json_line()).collect()
+    serve_lines_sorted(registry, BATCH, workers, granted)
+        .iter()
+        .map(ExplainResponse::to_json_line)
+        .collect()
 }
 
 #[test]
@@ -100,10 +124,12 @@ fn recovered_ledger_replays_grants_and_skips_respending() {
     let recovery = recover(&wal).expect("ledger recovers");
     assert_eq!(recovery.truncated_bytes, 0);
     assert!((recovery.spent() - 0.9).abs() < 1e-9);
-    let ids: HashSet<u64> = recovery.grants.iter().map(|g| g.request_id).collect();
+    // The daemon's clean drain compacted the WAL, so the grants sit in its
+    // checkpoint record rather than the tail.
+    let ids: HashSet<u64> = recovery.granted_ids().collect();
     assert_eq!(ids, HashSet::from([1, 2, 3]));
 
-    // Second life: every id is granted, so the batch reproduces the exact
+    // Second life: every id is granted, so the daemon reproduces the exact
     // bytes while the accountant only ever replays — no new charges.
     let (registry, granted) = registry_with_ledger(data, &dir);
     assert_eq!(granted, HashSet::from([1, 2, 3]));
@@ -115,7 +141,12 @@ fn recovered_ledger_replays_grants_and_skips_respending() {
         "replayed grants must not double-spend"
     );
     let settled = recover(&wal).expect("ledger recovers");
-    assert_eq!(settled.grants.len(), 3, "no grant was appended twice");
+    assert_eq!(
+        settled.granted_ids().count(),
+        3,
+        "no grant was appended twice"
+    );
+    assert!((settled.spent() - 0.9).abs() < 1e-9);
 }
 
 #[test]
