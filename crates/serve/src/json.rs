@@ -6,8 +6,8 @@
 //! crate's `Json` is a write-only pretty-printer, so this module supplies the
 //! read side plus a *canonical* single-line renderer. Determinism of the
 //! rendered bytes matters more than speed here: the concurrency test battery
-//! asserts that a batch served on 1, 2, and 7 workers produces bit-identical
-//! response files, which requires field order and number formatting to be
+//! asserts that a request file served on 1, 2, and 7 workers produces
+//! bit-identical response files, which requires field order and number formatting to be
 //! fixed functions of the value (object fields render in insertion order;
 //! numbers use Rust's shortest-roundtrip `f64` display, with integral values
 //! in `±2^53` rendered without a decimal point).

@@ -7,7 +7,8 @@
 //! values that are bit-identical however they were built. Responses therefore
 //! serialize **only deterministic fields** — stage wall-clock times and the
 //! scheduling-dependent `cache_hit` flag are deliberately excluded — so a
-//! batch's sorted response lines are byte-identical for every worker count.
+//! request file's sorted response lines are byte-identical for every worker
+//! count.
 
 use crate::json::Json;
 use crate::registry::AppendSummary;
@@ -27,8 +28,9 @@ use dpclustx::Weights;
 ///
 /// `Stats` and `Shutdown` are **control ops** for the resident daemon
 /// (`dpclustx serve-daemon`): they spend no ε, are answered on the transport
-/// only (never the durable response file), and a one-shot batch refuses them
-/// with a typed error rather than guessing at daemon semantics.
+/// only (never the durable response file), and
+/// [`ExplainService`](crate::service::ExplainService) called directly refuses
+/// them with a typed error rather than guessing at daemon semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestOp {
     /// Serve a differentially private explanation (the default).
@@ -77,7 +79,7 @@ pub struct ExplainRequest {
     pub stage2_kernel: Stage2Kernel,
     /// Apply the partition-consistency projection to released histograms.
     pub consistency: bool,
-    /// Per-request wall-clock budget in milliseconds (`None`: the batch
+    /// Per-request wall-clock budget in milliseconds (`None`: the daemon's
     /// default, or unbounded). The deadline bounds the whole serving path —
     /// admission (including time queued in the ledger's group-commit window
     /// or blocked on another request's in-flight counts build) and the
@@ -110,8 +112,8 @@ impl ExplainRequest {
         }
     }
 
-    /// Whether this request is a dataset append (an ordering barrier in a
-    /// batch: later requests must observe the grown dataset).
+    /// Whether this request is a dataset append (a barrier on the daemon's
+    /// line transport: later lines must observe the grown dataset).
     pub fn is_append(&self) -> bool {
         matches!(self.op, RequestOp::Append { .. })
     }
@@ -150,7 +152,7 @@ impl ExplainRequest {
     /// identifying fields were parseable (the offending `id`, the named
     /// dataset) plus a machine-readable reject class — so the serving layer
     /// can answer a hostile line with a per-request error response that
-    /// echoes the id, instead of failing the whole batch or silently
+    /// echoes the id, instead of failing the whole stream or silently
     /// dropping the line.
     pub fn classify_json_line(line: &str) -> Result<Self, WireReject> {
         let v = Json::parse(line).map_err(WireReject::unparseable)?;
@@ -350,7 +352,7 @@ impl ExplainRequest {
 pub mod reject_reason {
     /// The line decoded but its ε split is non-finite or negative.
     pub const INVALID_EPSILON: &str = "invalid_epsilon";
-    /// The line re-used a request id already claimed earlier in the batch.
+    /// The line re-used a request id already admitted earlier.
     pub const DUPLICATE_ID: &str = "duplicate_id";
     /// The line is not a decodable request at all (bad JSON, bad UTF-8,
     /// missing/ill-typed fields).
@@ -363,10 +365,10 @@ pub mod reject_reason {
 
 /// A typed wire-level rejection: one request line that will never execute,
 /// with whatever identity it managed to declare. A reject with a parseable
-/// `id` becomes an `"ok": false` response line echoing that id (shaped like
-/// a `budget_exceeded` rejection, `eps_remaining` included for capped
-/// datasets); a reject with no id cannot be answered on the response stream
-/// and must surface to the batch caller — never be silently dropped.
+/// `id` becomes an `"ok": false` response line echoing that id and its
+/// `reason` (no `eps_remaining`: the line never touched the budget); a
+/// reject with no id cannot be answered on the response stream and is
+/// answered on the transport as a control line — never silently dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireReject {
     /// 1-based line number in the request stream (0 when the reject was
@@ -664,10 +666,10 @@ impl ExplainResponse {
     }
 
     /// Renders the response line into `buf`, clearing it first — the
-    /// buffer-reuse form of [`ExplainResponse::to_json_line`]. The batch
-    /// response writers keep one buffer per worker/stream, so steady-state
-    /// serialization stops allocating a fresh `String` per response (the
-    /// buffer amortizes to the largest line it has held). Identical bytes.
+    /// buffer-reuse form of [`ExplainResponse::to_json_line`]. A writer
+    /// that keeps one buffer per stream stops allocating a fresh `String`
+    /// per response (the buffer amortizes to the largest line it has held).
+    /// Identical bytes.
     pub fn render_json_line_into(&self, buf: &mut String) {
         buf.clear();
         self.to_json().render_into(buf);
