@@ -132,6 +132,7 @@ fn main() {
 
     let doc = Json::object()
         .field("bench", "abuse_battery")
+        .field("host", dpx_bench::host_block())
         .field("requests", total)
         .field("rows", rows)
         .field("workers", workers)

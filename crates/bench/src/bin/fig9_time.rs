@@ -405,22 +405,7 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
 
     let doc = Json::object()
         .field("bench", "fig9")
-        .field(
-            "host",
-            Json::object()
-                .field(
-                    "cores",
-                    std::thread::available_parallelism().map_or(1, usize::from),
-                )
-                .field(
-                    "profile",
-                    if cfg!(debug_assertions) {
-                        "debug"
-                    } else {
-                        "release"
-                    },
-                ),
-        )
+        .field("host", dpx_bench::host_block())
         .field("dataset", kind.name())
         .field("seed", seed)
         .field("runs", runs)

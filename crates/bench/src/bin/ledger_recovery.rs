@@ -189,6 +189,7 @@ fn main() {
 
     let doc = Json::object()
         .field("bench", "ledger_recovery")
+        .field("host", dpx_bench::host_block())
         .field("checkpoint_every", checkpoint_every)
         .field("runs", runs)
         .field("cells", cells);

@@ -1,16 +1,17 @@
 //! Serving-layer contention sweep: requests/second and tail latency of the
 //! `dpx-serve` executor over a **durable** ε ledger, at worker counts
-//! {1,2,4,8} × {per-grant fsync, group commit}. Every cell drives the real
-//! hot path — each request's grant is fsynced into the dataset's WAL before
-//! its pipeline runs — so the sweep measures exactly what group commit
-//! amortizes. The response digest is asserted identical across every cell
-//! before any timing is trusted (a faster wrong answer is not a result).
+//! {1,2,4,8}. Every cell drives the real hot path — each request's grant is
+//! group-committed into the dataset's WAL before its pipeline runs — so the
+//! sweep measures how far concurrent grants share fsyncs. The response
+//! digest is asserted identical across every cell before any timing is
+//! trusted (a faster wrong answer is not a result).
 //!
 //! Emits `BENCH_serve.json` (default `results/BENCH_serve.json`, override
 //! with `--out`). Each cell records `requests_per_sec`, `p50_ms`, `p99_ms`,
 //! `grants_per_fsync` (grants appended / fsynced batches — the amortization
 //! factor), and `singleflight_hits` (requests that joined another request's
-//! in-flight counts build instead of scanning).
+//! in-flight counts build instead of scanning). A `host` block records the
+//! core count and build profile.
 //!
 //! A final `daemon` cell pushes the same mix through the resident
 //! `serve-daemon` pipeline — bounded tenant queue, admission control,
@@ -30,7 +31,6 @@ use dpx_bench::{Args, Json};
 use dpx_data::synth;
 use dpx_dp::budget::Epsilon;
 use dpx_dp::shards::{AccountantShards, ShardConfig};
-use dpx_dp::GroupCommitPolicy;
 use dpx_serve::daemon::{Daemon, DaemonConfig, DaemonReply, ReplySink};
 use dpx_serve::{DatasetRegistry, ExplainRequest, ExplainResponse, ExplainService};
 use rand::rngs::StdRng;
@@ -196,13 +196,6 @@ fn main() {
     let runs = args.usize("runs", 5);
     let seed = args.u64("seed", 2026);
     let threads = args.usize_list("threads", &[1, 2, 4, 8]);
-    // Default window 0: pure natural batching (grants pile up behind the
-    // leader's in-flight fsync). On filesystems where fsync is cheap, any
-    // wait larger than the fsync itself trades away more latency than the
-    // amortization buys back; on slow disks pass a window near the fsync
-    // cost (e.g. --group-wait-us 1000).
-    let group_wait_us = args.u64("group-wait-us", 0);
-    let group_max_batch = args.u64("group-max-batch", 64);
     let out = args.string("out", "results/BENCH_serve.json");
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -211,89 +204,75 @@ fn main() {
     let base = std::env::temp_dir().join(format!("dpx-bench-serve-{}", std::process::id()));
     eprintln!(
         "# serve_throughput: {rows} rows, {n_requests} requests, workers {threads:?}, \
-         {runs} runs, group window {group_wait_us}us/{group_max_batch}"
+         {runs} runs"
     );
 
+    let config = ShardConfig {
+        cap: Some(Epsilon::new(1e6).unwrap()),
+        checkpoint_every: None,
+    };
     let mut reference_digest = None;
     let mut cells = Vec::new();
     for &workers in &threads {
-        // Best run (by wall clock) per mode; its latencies and counters are
-        // the ones reported, so each cell comes from one coherent run. Modes
-        // alternate within every repetition — back-to-back pairs see the
-        // same machine weather, runs-then-runs would not.
-        let mut best: [Option<RunSample>; 2] = [None, None];
+        // Best run (by wall clock); its latencies and counters are the ones
+        // reported, so each cell comes from one coherent run.
+        let mut best: Option<RunSample> = None;
         for run in 0..runs {
-            for group in [false, true] {
-                let mode = if group { "group" } else { "per-grant" };
-                // Fresh ledger dir, registry, and cache per run: the
-                // accountant and counts start cold, so every cell measures
-                // the same work — durable WAL included.
-                let dir = base.join(format!("w{workers}-{mode}-r{run}"));
-                let _ = std::fs::remove_dir_all(&dir);
-                let shards = Arc::new(AccountantShards::in_dir(&dir).expect("ledger dir"));
-                let registry = Arc::new(DatasetRegistry::with_shards(Arc::clone(&shards)));
-                let config = ShardConfig {
-                    cap: Some(Epsilon::new(1e6).unwrap()),
-                    checkpoint_every: None,
-                    group_commit: group.then_some(GroupCommitPolicy {
-                        max_wait_us: group_wait_us,
-                        max_batch: group_max_batch,
-                    }),
-                };
-                let entry = registry
-                    .register_sharded("default", Arc::clone(&data), config)
-                    .expect("register dataset shard");
-                let service = ExplainService::new(Arc::clone(&registry));
+            // Fresh ledger dir, registry, and cache per run: the accountant
+            // and counts start cold, so every run measures the same work —
+            // durable WAL included.
+            let dir = base.join(format!("w{workers}-r{run}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let shards = Arc::new(AccountantShards::in_dir(&dir).expect("ledger dir"));
+            let registry = Arc::new(DatasetRegistry::with_shards(Arc::clone(&shards)));
+            let entry = registry
+                .register_sharded("default", Arc::clone(&data), config)
+                .expect("register dataset shard");
+            let service = ExplainService::new(Arc::clone(&registry));
 
-                let (wall, latencies, responses) = drive(&service, &requests, workers);
-                let d = digest(&responses);
-                match reference_digest {
-                    None => reference_digest = Some(d),
-                    Some(reference) => assert_eq!(
-                        d, reference,
-                        "workers={workers} {mode}: responses diverged from the reference"
-                    ),
-                }
-                let ok = responses.iter().filter(|r| r.is_ok()).count();
-                let stats = entry.accountant().ledger_stats();
-                let grants_per_fsync = if stats.append_batches > 0 {
-                    stats.grants_appended as f64 / stats.append_batches as f64
-                } else {
-                    0.0
-                };
-                let singleflight_hits = entry.cache().singleflight_hits();
-                let slot = &mut best[group as usize];
-                if slot.as_ref().is_none_or(|(w, ..)| wall < *w) {
-                    *slot = Some((wall, latencies, grants_per_fsync, singleflight_hits, ok));
-                }
+            let (wall, latencies, responses) = drive(&service, &requests, workers);
+            let d = digest(&responses);
+            match reference_digest {
+                None => reference_digest = Some(d),
+                Some(reference) => assert_eq!(
+                    d, reference,
+                    "workers={workers}: responses diverged from the reference"
+                ),
+            }
+            let ok = responses.iter().filter(|r| r.is_ok()).count();
+            let stats = entry.accountant().ledger_stats();
+            let grants_per_fsync = if stats.append_batches > 0 {
+                stats.grants_appended as f64 / stats.append_batches as f64
+            } else {
+                0.0
+            };
+            let singleflight_hits = entry.cache().singleflight_hits();
+            if best.as_ref().is_none_or(|(w, ..)| wall < *w) {
+                best = Some((wall, latencies, grants_per_fsync, singleflight_hits, ok));
             }
         }
-        for group in [false, true] {
-            let mode = if group { "group" } else { "per-grant" };
-            let (wall, mut latencies, grants_per_fsync, singleflight_hits, ok) =
-                best[group as usize].take().expect("at least one run");
-            latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let rate = n_requests as f64 / wall;
-            let p50 = percentile(&latencies, 0.50);
-            let p99 = percentile(&latencies, 0.99);
-            eprintln!(
-                "# workers {workers:>2} {mode:>9}: best {wall:.3}s  ({rate:6.1} req/s, \
-                 p50 {p50:.2}ms, p99 {p99:.2}ms, {grants_per_fsync:.2} grants/fsync, \
-                 {singleflight_hits} singleflight hits, {ok} ok)"
-            );
-            cells.push(
-                Json::object()
-                    .field("workers", workers)
-                    .field("group_commit", group)
-                    .field("wall_s_best", wall)
-                    .field("requests_per_sec", rate)
-                    .field("p50_ms", p50)
-                    .field("p99_ms", p99)
-                    .field("grants_per_fsync", grants_per_fsync)
-                    .field("singleflight_hits", singleflight_hits)
-                    .field("ok", ok),
-            );
-        }
+        let (wall, mut latencies, grants_per_fsync, singleflight_hits, ok) =
+            best.expect("at least one run");
+        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let rate = n_requests as f64 / wall;
+        let p50 = percentile(&latencies, 0.50);
+        let p99 = percentile(&latencies, 0.99);
+        eprintln!(
+            "# workers {workers:>2}: best {wall:.3}s  ({rate:6.1} req/s, \
+             p50 {p50:.2}ms, p99 {p99:.2}ms, {grants_per_fsync:.2} grants/fsync, \
+             {singleflight_hits} singleflight hits, {ok} ok)"
+        );
+        cells.push(
+            Json::object()
+                .field("workers", workers)
+                .field("wall_s_best", wall)
+                .field("requests_per_sec", rate)
+                .field("p50_ms", p50)
+                .field("p99_ms", p99)
+                .field("grants_per_fsync", grants_per_fsync)
+                .field("singleflight_hits", singleflight_hits)
+                .field("ok", ok),
+        );
     }
     // Daemon mode: the same request mix through `serve-daemon`'s resident
     // pipeline — bounded tenant queue, admission control, worker pool —
@@ -309,11 +288,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let shards = Arc::new(AccountantShards::in_dir(&dir).expect("ledger dir"));
         let registry = Arc::new(DatasetRegistry::with_shards(Arc::clone(&shards)));
-        let config = ShardConfig {
-            cap: Some(Epsilon::new(1e6).unwrap()),
-            checkpoint_every: None,
-            group_commit: None,
-        };
         let entry = registry
             .register_sharded("default", Arc::clone(&data), config)
             .expect("register dataset shard");
@@ -377,12 +351,11 @@ fn main() {
 
     let doc = Json::object()
         .field("bench", "serve_throughput")
+        .field("host", dpx_bench::host_block())
         .field("rows", rows)
         .field("requests", n_requests)
         .field("runs", runs)
         .field("seed", seed)
-        .field("group_wait_us", group_wait_us)
-        .field("group_max_batch", group_max_batch)
         .field(
             "digest",
             format!("{:016x}", reference_digest.expect("at least one run")),

@@ -27,6 +27,22 @@ pub use datasets::DatasetKind;
 pub use explainers::Explainer;
 pub use json::Json;
 
+/// The `host` block every `results/BENCH_*.json` carries: the core count
+/// and build profile its numbers were measured with.
+pub fn host_block() -> Json {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    Json::object()
+        .field(
+            "cores",
+            std::thread::available_parallelism().map_or(1, usize::from),
+        )
+        .field("profile", profile)
+}
+
 /// Clustering methods for a dataset, honouring the paper's caveat that
 /// agglomerative clustering is skipped on the (large) Census dataset.
 pub fn methods_for(kind: DatasetKind) -> Vec<dpx_clustering::ClusteringMethod> {

@@ -39,8 +39,6 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
     let resume = cli.bool("resume");
     let deadline_ms = cli.opt_u64("deadline-ms")?;
     let checkpoint_every = cli.opt_u64("checkpoint-every")?;
-    let group_wait_us = cli.opt_u64("group-commit-max-wait-us")?;
-    let group_max_batch = cli.opt_u64("group-commit-max-batch")?;
     if resume && ledger_dir.is_none() {
         return Err(CliError::Usage(
             "--resume requires --ledger-dir (there is no grant log to resume from)".into(),
@@ -58,27 +56,6 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
             ));
         }
     }
-    // Group commit batches concurrent grant fsyncs; either flag opts in and
-    // the other takes its default. A max batch of 0 or 1 degenerates to the
-    // per-grant path (the documented way to measure the baseline with the
-    // flag still on the command line).
-    let group_commit = match (group_wait_us, group_max_batch) {
-        (None, None) => None,
-        (wait, batch) => {
-            if ledger_dir.is_none() {
-                return Err(CliError::Usage(
-                    "--group-commit-max-wait-us/--group-commit-max-batch require --ledger-dir \
-                     (group commit batches durable fsyncs; there is none in memory)"
-                        .into(),
-                ));
-            }
-            Some(dpx_dp::GroupCommitPolicy {
-                max_wait_us: wait.unwrap_or(200),
-                max_batch: batch.unwrap_or(64),
-            })
-        }
-    };
-
     let data = load(cli)?;
     let cap = match cli.f64("budget", f64::INFINITY)? {
         b if b.is_infinite() => None,
@@ -97,7 +74,6 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
             let config = ShardConfig {
                 cap,
                 checkpoint_every,
-                group_commit,
             };
             registry.register_sharded(name, Arc::new(data), config)?
         }
@@ -115,7 +91,7 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
     })
 }
 
-/// Prints each durable shard's recovery/checkpoint/group-commit statistics
+/// Prints each durable shard's recovery, checkpoint and group-commit statistics
 /// for the serving command's human summary.
 fn print_ledger_stats<W: std::io::Write>(
     out: &mut W,
@@ -1081,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_group_commit_flags_validate_and_preserve_output() {
+    fn batch_group_committed_ledger_preserves_output() {
         let dir = tmpdir();
         let prefix = dir.join("grouped");
         let prefix_s = prefix.to_str().unwrap();
@@ -1100,7 +1076,7 @@ mod tests {
         std::fs::write(&reqs, lines).unwrap();
         let csv = format!("{prefix_s}.csv");
         let schema = format!("{prefix_s}.schema");
-        let serve = |resp: &str, ledger: &str, extra: &[&str]| {
+        let serve = |resp: &str, extra: &[&str]| {
             let mut args = vec![
                 "serve-batch",
                 "--data",
@@ -1113,27 +1089,21 @@ mod tests {
                 resp,
                 "--workers",
                 "4",
-                "--ledger-dir",
-                ledger,
             ];
             args.extend_from_slice(extra);
             run_cli(&args).unwrap()
         };
-        // Per-grant reference vs group-committed run: the response stream
-        // must be byte-identical (batching changes fsync scheduling, never
-        // results), and both recover to the same durable spend.
+        // In-memory reference vs group-committed durable run: the response
+        // stream must be byte-identical (batching changes fsync scheduling,
+        // never results).
         let base_resp = dir.join("grouped-base.jsonl");
         let grouped_resp = dir.join("grouped-batched.jsonl");
-        let text = serve(
-            base_resp.to_str().unwrap(),
-            dir.join("grouped-ledger-base").to_str().unwrap(),
-            &[],
-        );
+        let text = serve(base_resp.to_str().unwrap(), &[]);
         assert!(text.contains("served 6, rejected 0, shed 0"), "{text}");
+        let ledger = dir.join("grouped-ledger-gc");
         let text = serve(
             grouped_resp.to_str().unwrap(),
-            dir.join("grouped-ledger-gc").to_str().unwrap(),
-            &["--group-commit-max-wait-us", "2000"],
+            &["--ledger-dir", ledger.to_str().unwrap()],
         );
         assert!(text.contains("served 6, rejected 0, shed 0"), "{text}");
         assert!(text.contains("grants/fsync"), "{text}");
@@ -1143,20 +1113,6 @@ mod tests {
             std::fs::read(&grouped_resp).unwrap(),
             "group commit must not change served bytes"
         );
-
-        // The flags are durable-only.
-        let err = run_cli(&[
-            "serve-batch",
-            "--requests",
-            "r.jsonl",
-            "--group-commit-max-batch",
-            "8",
-        ])
-        .unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("require --ledger-dir"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
     }
 
     #[test]

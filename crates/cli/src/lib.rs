@@ -115,7 +115,6 @@ USAGE:
                     [--metrics-out <stats.json>] [--metrics-every N]
                     [--budget E] [--name NAME] [--ledger-dir <dir>]
                     [--checkpoint-every N] [--resume] [--deadline-ms MS]
-                    [--group-commit-max-wait-us US] [--group-commit-max-batch N]
       Runs the explanation service as a resident daemon, the one engine that
       serves requests concurrently. Requests (one JSON object per line; 'id'
       required, everything else defaulted: dataset, seed, cluster_by,
@@ -175,14 +174,11 @@ USAGE:
       re-spending for request ids that hold a recovered grant: a kill
       anywhere, mid-drain included, resumes to the uninterrupted bytes. The
       summary reports each shard's ledger stats (records replayed, torn
-      bytes truncated, checkpoint age) alongside the ε accounting.
-      --group-commit-max-wait-us US / --group-commit-max-batch N (require
-      --ledger-dir; either flag opts in, the other takes its default of
-      200us/64) batch concurrent grants into one fsync: the first spender to
-      reach the ledger leads, waits up to US microseconds (or until N grants
-      queue), appends the whole batch under a single fsync, and wakes the
-      others — every request still acks only after its own grant is durable.
-      --group-commit-max-batch 0 or 1 keeps the per-grant commit path.
+      bytes truncated, checkpoint age, grants per fsync) alongside the ε
+      accounting. Concurrent grants share fsyncs: the first spender to reach
+      the ledger leads, appends every grant queued behind it (up to 64) under
+      a single fsync without waiting for more, and wakes the others; every
+      request still acks only after its own grant is durable.
       --deadline-ms bounds each request's wall clock (per-request
       'deadline_ms' overrides it), covering admission too: a request whose
       deadline expires before its grant commits is rejected with reason

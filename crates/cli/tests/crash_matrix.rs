@@ -10,13 +10,21 @@
 //! invariants the design document promises:
 //!
 //! 1. the recovered spend covers every response the crashed run managed to
-//!    flush (no output without a durable grant) and never exceeds the cap —
-//!    whether recovery starts from a checkpoint record or full history;
+//!    flush (no output without a durable grant), never exceeds the cap, and
+//!    is a whole number of grants (no torn, half-counted record) — whether
+//!    recovery starts from a checkpoint record or full history;
 //! 2. the union of pre-crash and post-recovery responses is byte-identical
 //!    to an uninterrupted run — at 1 worker and at 4.
 //!
-//! Everything is seeded; nothing asserts wall-clock time, so the matrix is
-//! deterministic in CI.
+//! Every durable grant is group-committed, so at 4 workers the `ledger.*`
+//! points land on batches of however many grants queued together, and a
+//! kill between a batch's write and its fsync, or between the fsync and the
+//! acks, hits a batch none of whose spends has acked.
+//!
+//! Everything is seeded and nothing asserts wall-clock time. At 1 worker a
+//! schedule names one exact program state; at 4, batch boundaries depend on
+//! scheduling, so a schedule names one of several states, each of which must
+//! recover.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -38,12 +46,6 @@ const POINTS: [&str; 8] = [
     "service.post_spend",
     "service.post_respond",
 ];
-
-/// Fault points inside the group-commit leader's single-fsync append: between
-/// writing the batch's records and syncing them, and between the sync and the
-/// followers' wakeup. A kill at either lands while every ack of the batch is
-/// still pending.
-const GROUP_POINTS: [&str; 2] = ["ledger.group_pre_fsync", "ledger.group_post_fsync"];
 
 /// Seeded nth-hit choices (no `rand` in the test: a bare LCG is plenty).
 struct Lcg(u64);
@@ -221,6 +223,13 @@ fn every_single_point_kill_recovers_to_the_uninterrupted_output() {
                     spent <= CAP + 1e-9,
                     "[{tag}] recovered spend {spent} exceeds cap {CAP}"
                 );
+                // All-or-none at grant granularity: the recovered spend is an
+                // integral number of whole 0.3-ε grants.
+                let grants = spent / EPS_PER_REQUEST;
+                assert!(
+                    (grants - grants.round()).abs() < 1e-6,
+                    "[{tag}] recovered spend {spent} is not a whole number of grants"
+                );
                 let grant_ids: HashSet<u64> = recovery.granted_ids().collect();
                 let ok_ids = flushed_ok_ids(&out);
                 for id in &ok_ids {
@@ -266,160 +275,7 @@ fn every_single_point_kill_recovers_to_the_uninterrupted_output() {
     );
 }
 
-/// Kills mid-batch under group commit. A kill at either group fault point
-/// happens while the leader still holds the accountant lock and **no** spend
-/// of the batch has acked, so the batched grants' responses are all-or-none:
-/// the crashed run can never have flushed a response whose grant is not
-/// durable, the recovered spend is a whole number of grants (no torn,
-/// half-counted record) under the cap, and `--resume` converges on the
-/// uninterrupted bytes without double-charging.
-#[test]
-fn group_commit_kill_mid_batch_recovers_all_or_none() {
-    let dir = tmpdir();
-    let prefix = dir.join("gcmatrix");
-    let prefix_s = prefix.to_str().unwrap().to_string();
-    run_ok(&[
-        "generate",
-        "--dataset",
-        "diabetes",
-        "--rows",
-        "400",
-        "--out",
-        &prefix_s,
-    ]);
-    let csv = format!("{prefix_s}.csv");
-    let schema = format!("{prefix_s}.schema");
-    let reqs = dir.join("gcmatrix-reqs.jsonl");
-    std::fs::write(
-        &reqs,
-        (1..=N_REQUESTS)
-            .map(|id| format!("{{\"id\": {id}, \"seed\": {id}}}\n"))
-            .collect::<String>(),
-    )
-    .unwrap();
-    // A generous window so 4 concurrent workers reliably share fsyncs.
-    let group_flags = ["--group-commit-max-wait-us", "50000"];
-
-    // Uninterrupted reference at 4 workers, per-grant commits — group commit
-    // must reproduce these bytes exactly, crash or no crash.
-    let reference = {
-        let out = dir.join("gc-reference.jsonl");
-        let args = serve_args(&csv, &schema, &reqs, &out, 4, None, false);
-        let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-        run_ok(&argv);
-        std::fs::read(&out).unwrap()
-    };
-    {
-        // Sanity: an uninterrupted grouped run matches and actually batched.
-        let out = dir.join("gc-grouped.jsonl");
-        let ledger_dir = dir.join("gc-grouped-ledger");
-        let mut args = serve_args(&csv, &schema, &reqs, &out, 4, Some(&ledger_dir), false);
-        args.extend(group_flags.iter().map(|s| s.to_string()));
-        let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-        let output = run_ok(&argv);
-        assert_eq!(std::fs::read(&out).unwrap(), reference);
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        assert!(
-            stdout.contains("grants/fsync"),
-            "group commit never engaged:\n{stdout}"
-        );
-    }
-
-    let mut crashed = 0usize;
-    let mut scenarios = 0usize;
-    for point in GROUP_POINTS {
-        // Early hits only: with 5 requests over a wide window the run commits
-        // few batches, and the matrix must land inside one.
-        for nth in [1u64, 2] {
-            scenarios += 1;
-            let tag = format!("gc-{}-{nth}", point.replace('.', "_"));
-            let out = dir.join(format!("{tag}.jsonl"));
-            let ledger_dir = dir.join(format!("{tag}-ledger"));
-            let wal = ledger_dir.join("default.wal");
-            let mut args = serve_args(&csv, &schema, &reqs, &out, 4, Some(&ledger_dir), true);
-            args.extend(group_flags.iter().map(|s| s.to_string()));
-            let killed = Command::new(BIN)
-                .args(&args)
-                .env("DPX_CRASH_AT", format!("{point}:{nth}"))
-                .output()
-                .expect("spawn armed cli");
-            if killed.status.success() {
-                assert_eq!(
-                    std::fs::read(&out).unwrap(),
-                    reference,
-                    "[{tag}] un-triggered run diverged"
-                );
-            } else {
-                crashed += 1;
-                let stderr = String::from_utf8_lossy(&killed.stderr);
-                assert!(
-                    stderr.contains("injected crash at"),
-                    "[{tag}] died without the injection marker:\n{stderr}"
-                );
-            }
-
-            let recovery = dpx_dp::ledger::recover(&wal).expect("ledger recovers");
-            let spent = recovery.spent();
-            assert!(
-                spent <= CAP + 1e-9,
-                "[{tag}] recovered spend {spent} exceeds cap {CAP}"
-            );
-            // All-or-none at grant granularity: the recovered spend is an
-            // integral number of whole 0.3-ε grants.
-            let grants = spent / EPS_PER_REQUEST;
-            assert!(
-                (grants - grants.round()).abs() < 1e-6,
-                "[{tag}] recovered spend {spent} is not a whole number of grants"
-            );
-            // All-or-none at response granularity: every flushed ok response
-            // has a durable grant (a mid-batch kill precedes every ack of
-            // that batch, so its responses are *none*; earlier batches that
-            // fully acked may be *all* flushed).
-            let grant_ids: HashSet<u64> = recovery.granted_ids().collect();
-            let ok_ids = flushed_ok_ids(&out);
-            for id in &ok_ids {
-                assert!(
-                    grant_ids.contains(id),
-                    "[{tag}] response {id} was flushed without a durable grant"
-                );
-            }
-            assert!(
-                spent + 1e-9 >= EPS_PER_REQUEST * ok_ids.len() as f64,
-                "[{tag}] spend {spent} does not cover {} flushed responses",
-                ok_ids.len()
-            );
-
-            // Resume (still under group commit) converges: reference bytes,
-            // exactly one grant per request, no double-spend.
-            let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-            run_ok(&argv);
-            assert_eq!(
-                std::fs::read(&out).unwrap(),
-                reference,
-                "[{tag}] resumed output diverged from the uninterrupted run"
-            );
-            let settled = dpx_dp::ledger::recover(&wal).expect("ledger recovers");
-            let expected = EPS_PER_REQUEST * N_REQUESTS as f64;
-            assert!(
-                (settled.spent() - expected).abs() < 1e-9,
-                "[{tag}] settled spend {} != {expected} (double-spend?)",
-                settled.spent()
-            );
-            let settled_ids: HashSet<u64> = settled.granted_ids().collect();
-            assert_eq!(
-                settled_ids,
-                (1..=N_REQUESTS as u64).collect::<HashSet<u64>>(),
-                "[{tag}] each request holds exactly one grant"
-            );
-        }
-    }
-    assert!(
-        crashed >= scenarios / 2,
-        "only {crashed}/{scenarios} group-commit kills actually fired"
-    );
-}
-
-/// Kills at the group-commit fault points while an **abuse storm** — not a
+/// Kills at the ledger's fsync fault points while an **abuse storm** — not a
 /// quiet batch — is in flight: honest small requests racing a budget whale
 /// (a 1.2-ε request), already-expired zero-deadline straddlers, and a
 /// duplicate-id replay line. The recovery invariants are unchanged from the
@@ -501,8 +357,6 @@ fn group_commit_kill_during_abuse_storm_recovers_cleanly() {
                 ledger.to_str().unwrap(),
                 "--checkpoint-every",
                 "2",
-                "--group-commit-max-wait-us",
-                "50000",
                 "--resume",
             ] {
                 args.push(flag.to_string());
@@ -537,7 +391,7 @@ fn group_commit_kill_during_abuse_storm_recovers_cleanly() {
 
     let mut crashed = 0usize;
     let mut scenarios = 0usize;
-    for point in GROUP_POINTS {
+    for point in ["ledger.pre_fsync", "ledger.post_fsync"] {
         for nth in [1u64, 2] {
             scenarios += 1;
             let tag = format!("storm-{}-{nth}", point.replace('.', "_"));

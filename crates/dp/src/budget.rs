@@ -14,10 +14,9 @@ use crate::ledger::{
     CheckpointRecord, GrantRecord, GroupSnapshot, LedgerWriter, Recovery, NO_REQUEST,
 };
 use dpx_runtime::faultpoint::{self, SHARD_PRE_APPEND};
-use dpx_runtime::{BatchWindow, Batcher, CancelToken, Submit};
+use dpx_runtime::{Batcher, CancelToken, Submit};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 /// A validated privacy parameter `ε > 0`.
 ///
@@ -421,9 +420,10 @@ impl Accountant {
 /// silently breaks the ε-DP guarantee (the composition theorem bounds the
 /// *actual* total spend, not what each racer believed it to be). Here every
 /// [`try_spend`](SharedAccountant::try_spend) holds the ledger lock across
-/// both the cap check and the recording, so there is no window in which a
-/// second spender can sneak past a stale check: the sum of all accepted
-/// charges can never exceed the cap, for any interleaving.
+/// both the cap check and the recording (with a durable sink: the
+/// reservation the commit later turns into a charge), so there is no window
+/// in which a second spender can sneak past a stale check: the sum of all
+/// accepted charges can never exceed the cap, for any interleaving.
 ///
 /// The inner ledger stays the audited, single-threaded [`Accountant`];
 /// [`snapshot`](SharedAccountant::snapshot) clones it out for audit trails
@@ -432,11 +432,15 @@ impl Accountant {
 /// # Durability
 ///
 /// An optional write-ahead sink (see [`crate::ledger`]) can be attached, after
-/// which every accepted spend follows the WAL rule *check cap → append+fsync →
-/// record in memory*, all under the one lock. A spend only reports success
-/// once its grant is on stable storage, so a crash at any instant leaves the
-/// durable record a superset of every spend any caller ever saw accepted —
-/// the restart can only over-count (privacy-safe), never forget.
+/// which every accepted spend follows the WAL rule *reserve against the cap →
+/// append+fsync → record in memory*. The reservation is taken under the one
+/// lock; the append and the in-memory charge happen together under it again,
+/// in a batch of up to 64 queued grants committed with one fsync (group
+/// commit, see [`SharedAccountant::try_spend_grant_cancellable`]). A spend
+/// only reports success once its grant is on stable storage, so a
+/// crash at any instant leaves the durable record a superset of every spend
+/// any caller ever saw accepted — the restart can only over-count
+/// (privacy-safe), never forget.
 #[derive(Debug, Default)]
 struct Ledgered {
     acc: Accountant,
@@ -454,8 +458,6 @@ struct Ledgered {
     /// reservation into real charges at commit (or releases it on failure
     /// or cancellation-withdrawal).
     pending_eps: f64,
-    /// Group-commit window for grant spends (`None`: per-grant commits).
-    group_commit: Option<GroupCommitPolicy>,
     stats: LedgerStats,
 }
 
@@ -491,11 +493,6 @@ impl Ledgered {
         }
     }
 
-    /// Applies the auto-checkpoint policy after a successful durable append.
-    fn note_append(&mut self) {
-        self.note_batch(1);
-    }
-
     /// Cap check that also counts ε reserved in the group-commit queue:
     /// whatever is pending will be charged, so new admissions must fit
     /// alongside it. Identical to the plain check when nothing is pending.
@@ -504,31 +501,10 @@ impl Ledgered {
     }
 }
 
-/// Group-commit window for a durable [`SharedAccountant`]'s spend path: how
-/// long the batch leader holds the commit open for followers, and for how
-/// many grants. `max_batch <= 1` disables batching — today's per-grant
-/// append+fsync behavior, selectable at runtime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupCommitPolicy {
-    /// Longest time (µs) the leader waits for followers before committing.
-    pub max_wait_us: u64,
-    /// Commit as soon as this many grants are queued (`<= 1`: no batching).
-    pub max_batch: u64,
-}
-
-impl GroupCommitPolicy {
-    /// Whether this policy actually groups commits.
-    fn batches(self) -> bool {
-        self.max_batch > 1
-    }
-
-    fn window(self) -> BatchWindow {
-        BatchWindow {
-            max_wait: Duration::from_micros(self.max_wait_us),
-            max_batch: self.max_batch as usize,
-        }
-    }
-}
+/// Most grants one group commit appends under a single fsync. The leader
+/// never waits for followers: a batch is whatever queued while the previous
+/// commit was in flight, capped here so one fsync's latency stays bounded.
+const MAX_GRANT_BATCH: usize = 64;
 
 /// A grant admitted to the group-commit queue, awaiting its batch.
 #[derive(Debug)]
@@ -562,10 +538,10 @@ pub struct LedgerStats {
     pub checkpoint_failures: u64,
     /// Grant records made durable by this accountant (any append path).
     pub grants_appended: u64,
-    /// Fsynced append batches: per-grant spends count one batch per grant,
-    /// group commits one per batch, so `grants_appended / append_batches`
-    /// is the grants-per-fsync amortization factor (checkpoint compactions
-    /// excluded — they are policy, not spend).
+    /// Fsynced append batches (one per group commit, one per parallel
+    /// spend), so `grants_appended / append_batches` is the grants-per-fsync
+    /// amortization factor (checkpoint compactions excluded — they are
+    /// policy, not spend).
     pub append_batches: u64,
 }
 
@@ -573,9 +549,9 @@ pub struct LedgerStats {
 #[derive(Debug, Default)]
 pub struct SharedAccountant {
     inner: std::sync::Mutex<Ledgered>,
-    /// Leader/follower queue for group-committed grant spends (see
-    /// [`SharedAccountant::try_spend_grant_cancellable`]). Idle unless a
-    /// [`GroupCommitPolicy`] with `max_batch > 1` is installed.
+    /// Leader/follower queue for durable grant spends (see
+    /// [`SharedAccountant::try_spend_grant_cancellable`]). Idle without a
+    /// sink.
     batcher: Batcher<PendingGrant, Result<(), DpError>>,
 }
 
@@ -654,7 +630,6 @@ impl SharedAccountant {
                 appends_since_checkpoint: recovery.checkpoint_age(),
                 checkpoint_every: None,
                 pending_eps: 0.0,
-                group_commit: None,
                 stats: LedgerStats {
                     records_replayed: recovery.records_replayed(),
                     truncated_bytes: recovery.truncated_bytes,
@@ -703,57 +678,34 @@ impl SharedAccountant {
     }
 
     /// [`try_spend`](Self::try_spend) with an explicit request id recorded in
-    /// the durable grant. Order of operations under the single lock: cap
-    /// check, then append+fsync to the sink (if any), then the in-memory
-    /// charge — success is only reported once the grant is durable, and a
-    /// failed fsync rejects the spend with [`DpError::LedgerWrite`].
+    /// the durable grant: [`try_spend_grant_cancellable`] with no token.
+    ///
+    /// [`try_spend_grant_cancellable`]: Self::try_spend_grant_cancellable
     pub fn try_spend_grant(
         &self,
         request_id: u64,
         label: impl Into<String>,
         eps: Epsilon,
     ) -> Result<(), DpError> {
-        let label = label.into();
-        let mut inner = self.lock();
-        inner.check_cap(eps.get())?;
-        if inner.sink.is_some() {
-            faultpoint::hit(SHARD_PRE_APPEND);
-            let grant = GrantRecord {
-                request_id,
-                epsilon: eps.get(),
-                label: label.clone(),
-                group: None,
-            };
-            let sink = inner.sink.as_mut().expect("checked above");
-            sink.append(&grant).map_err(|e| DpError::LedgerWrite {
-                message: e.to_string(),
-            })?;
-        }
-        inner.acc.charge(label, eps)?;
-        if request_id != NO_REQUEST {
-            inner.granted.push(request_id);
-        }
-        if inner.sink.is_some() {
-            inner.note_append();
-        }
-        Ok(())
+        self.try_spend_grant_cancellable(request_id, label, eps, None)
     }
 
     /// [`try_spend_grant`](Self::try_spend_grant) with cooperative
-    /// cancellation and group commit.
+    /// cancellation.
     ///
     /// The token is consulted **before any ε is reserved**: an
     /// already-cancelled token (e.g. an expired deadline) returns
-    /// [`DpError::Cancelled`] having spent nothing. When a
-    /// [`GroupCommitPolicy`] with `max_batch > 1` is installed on a durable
-    /// accountant, the spend is *admitted* (its ε reserved against the cap
-    /// under the accountant lock — concurrent admissions cannot jointly
-    /// breach it) and enqueued; the first enqueuer becomes the batch leader
-    /// and commits the whole queue with **one** append+fsync via
-    /// [`LedgerWriter::append_group`]. Every spend still returns only after
-    /// its own record is durable, so the WAL invariant is unchanged: success
-    /// implies durable, and the batch is charged in memory in exactly the
-    /// order it sits in the file, keeping recovery bit-exact.
+    /// [`DpError::Cancelled`] having spent nothing. Without a sink the spend
+    /// is a cap check and an in-memory charge under the lock. With one, the
+    /// spend is *admitted* (its ε reserved against the cap under the
+    /// accountant lock — concurrent admissions cannot jointly breach it) and
+    /// enqueued; the first enqueuer to find no commit in flight becomes the
+    /// batch leader and, without waiting for anyone, commits up to 64 queued
+    /// grants with **one** append+fsync. Every spend returns only after its
+    /// own record is durable — success implies durable, and a failed fsync
+    /// rejects every spend of its batch with [`DpError::LedgerWrite`] — and
+    /// the batch is charged in memory in exactly the order it sits in the
+    /// file, keeping recovery bit-exact.
     ///
     /// A token that cancels while the grant is still **queued** withdraws it
     /// (reservation released, nothing spent). Once the leader has drained the
@@ -772,34 +724,20 @@ impl SharedAccountant {
             return Err(DpError::Cancelled { reason });
         }
         let label = label.into();
-        // Admission: reserve against the cap and capture the window, all
-        // under the accountant lock, then release it before queueing so the
-        // leader can take it for the commit.
-        let window = {
+        // Admission: reserve against the cap under the accountant lock, then
+        // release it before queueing so the leader can take it for the commit.
+        {
             let mut inner = self.lock();
-            match inner.group_commit {
-                Some(policy) if policy.batches() && inner.sink.is_some() => {
-                    inner.check_cap(eps.get())?;
-                    inner.pending_eps += eps.get();
-                    let mut window = policy.window();
-                    // Solo-spender fast path (PostgreSQL's commit_siblings):
-                    // holding the commit window open only pays when another
-                    // spender is already queued behind the ledger. An
-                    // uncontended spend commits immediately, so enabling
-                    // group commit never taxes a quiet shard — batches still
-                    // form under load, from grants that pile up while the
-                    // previous leader's fsync is in flight.
-                    if self.batcher.queued() == 0 {
-                        window.max_wait = Duration::ZERO;
-                    }
-                    window
+            inner.check_cap(eps.get())?;
+            if inner.sink.is_none() {
+                inner.acc.charge(label, eps)?;
+                if request_id != NO_REQUEST {
+                    inner.granted.push(request_id);
                 }
-                _ => {
-                    drop(inner);
-                    return self.try_spend_grant(request_id, label, eps);
-                }
+                return Ok(());
             }
-        };
+            inner.pending_eps += eps.get();
+        }
         let pending = PendingGrant {
             request_id,
             label,
@@ -807,8 +745,9 @@ impl SharedAccountant {
         };
         match self
             .batcher
-            .submit(pending, window, cancel, |batch| self.commit_batch(batch))
-        {
+            .submit(pending, MAX_GRANT_BATCH, cancel, |batch| {
+                self.commit_batch(batch)
+            }) {
             Submit::Done(result) => result,
             Submit::Cancelled { item, reason } => {
                 // Withdrawn before the leader drained it: release the
@@ -822,9 +761,8 @@ impl SharedAccountant {
     }
 
     /// The batch leader's commit: one append+fsync for the whole batch, then
-    /// in-memory charges in file order. Runs under the accountant lock —
-    /// the same critical section discipline as the per-grant path, so
-    /// checkpoints and concurrent per-grant spends serialize against it.
+    /// in-memory charges in file order. Runs under the accountant lock, so
+    /// checkpoints and parallel spends serialize against it.
     fn commit_batch(&self, batch: Vec<PendingGrant>) -> Vec<Result<(), DpError>> {
         let mut inner = self.lock();
         let total: f64 = batch.iter().map(|g| g.eps).sum();
@@ -837,16 +775,14 @@ impl SharedAccountant {
                 group: None,
             })
             .collect();
-        let append = match inner.sink.as_mut() {
-            Some(sink) => {
-                faultpoint::hit(SHARD_PRE_APPEND);
-                sink.append_group(&records).map_err(|e| e.to_string())
-            }
-            // The sink vanished between admission and commit (possible only
-            // through attach_ledger misuse); charge in memory regardless —
-            // admission already reserved the ε.
-            None => Ok(()),
-        };
+        faultpoint::hit(SHARD_PRE_APPEND);
+        // Admission only enqueues with a sink, and a sink is never detached.
+        let append = inner
+            .sink
+            .as_mut()
+            .expect("queued grants imply a sink")
+            .append_all(&records)
+            .map_err(|e| e.to_string());
         // The reservation resolves either way: into charges on success,
         // released on failure.
         inner.pending_eps = (inner.pending_eps - total).max(0.0);
@@ -870,20 +806,10 @@ impl SharedAccountant {
                         inner.granted.push(grant.request_id);
                     }
                 }
-                if inner.sink.is_some() {
-                    inner.note_batch(n);
-                }
+                inner.note_batch(n);
                 (0..n).map(|_| Ok(())).collect()
             }
         }
-    }
-
-    /// Installs (or clears) the group-commit window for
-    /// [`try_spend_grant_cancellable`](Self::try_spend_grant_cancellable).
-    /// `None` — or any policy with `max_batch <= 1` — keeps the per-grant
-    /// append+fsync path.
-    pub fn set_group_commit(&self, policy: Option<GroupCommitPolicy>) {
-        self.lock().group_commit = policy;
     }
 
     /// Atomic parallel-composition variant of
@@ -925,7 +851,7 @@ impl SharedAccountant {
         }
         inner.acc.charge_parallel(group, member, eps)?;
         if inner.sink.is_some() {
-            inner.note_append();
+            inner.note_batch(1);
         }
         Ok(())
     }
@@ -1526,17 +1452,41 @@ mod tests {
         path
     }
 
+    /// Takes the accountant's commit leadership, runs `release` (which lets
+    /// the spenders go), and keeps leading until `grants` spends of 0.1 ε
+    /// have been admitted behind it. They pile up in the queue meanwhile, so
+    /// the next leader commits them together: a forced batch, with no wait
+    /// in the commit path itself.
+    fn lead_until_admitted(acc: &SharedAccountant, grants: u64, release: impl FnOnce()) {
+        let placeholder = PendingGrant {
+            request_id: NO_REQUEST,
+            label: String::new(),
+            eps: 0.0,
+        };
+        let mut release = Some(release);
+        let out = acc
+            .batcher
+            .submit(placeholder, MAX_GRANT_BATCH, None, |batch| {
+                release.take().expect("the placeholder leads once")();
+                while acc.probe().pending_eps < 0.1 * grants as f64 - 1e-9 {
+                    std::thread::yield_now();
+                }
+                // Holding leadership is what forces the pile-up; the pause
+                // only covers the instant between a spender's admission
+                // dropping the lock and its enqueue.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                batch.iter().map(|_| Ok(())).collect()
+            });
+        assert!(matches!(out, Submit::Done(Ok(()))));
+    }
+
     #[test]
     fn group_commit_batches_grants_under_one_fsync_and_recovers_bit_exact() {
         const N: u64 = 8;
         let path = wal_path("group-commit.wal");
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 100_000,
-            max_batch: N,
-        }));
-        let barrier = std::sync::Barrier::new(N as usize);
+        let barrier = std::sync::Barrier::new(N as usize + 1);
         std::thread::scope(|scope| {
             for id in 1..=N {
                 let acc = &acc;
@@ -1552,6 +1502,9 @@ mod tests {
                     .unwrap();
                 });
             }
+            lead_until_admitted(&acc, N, || {
+                barrier.wait();
+            });
         });
         let stats = acc.ledger_stats();
         assert_eq!(stats.grants_appended, N);
@@ -1584,10 +1537,6 @@ mod tests {
         let path = wal_path("group-cap.wal");
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(0.5).unwrap()), writer, &recovery);
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 50_000,
-            max_batch: 16,
-        }));
         let accepted = std::sync::atomic::AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(16);
         std::thread::scope(|scope| {
@@ -1625,11 +1574,7 @@ mod tests {
         let path = wal_path("group-cancel.wal");
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 1_000,
-            max_batch: 4,
-        }));
-        let token = CancelToken::with_deadline(Duration::ZERO);
+        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let err = acc
             .try_spend_grant_cancellable(1, "request/1", Epsilon::new(0.3).unwrap(), Some(&token))
             .unwrap_err();
@@ -1641,56 +1586,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_group_commit_policy_keeps_per_grant_commits() {
-        let path = wal_path("group-off.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        // max_batch <= 1 means "no batching", whatever the wait says.
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 50_000,
-            max_batch: 1,
-        }));
-        for id in 1..=3u64 {
-            acc.try_spend_grant_cancellable(
-                id,
-                format!("request/{id}"),
-                Epsilon::new(0.1).unwrap(),
-                None,
-            )
-            .unwrap();
-        }
-        let stats = acc.ledger_stats();
-        assert_eq!(stats.grants_appended, 3);
-        assert_eq!(stats.append_batches, 3, "one fsync per grant");
-    }
-
-    #[test]
-    fn solo_spender_skips_the_commit_window() {
-        // An uncontended spend must not wait out the window: with a 2-second
-        // window and nobody queued behind the ledger, three sequential spends
-        // complete in well under one window.
+    fn uncontended_spends_commit_one_batch_each() {
+        // Nobody queued behind the ledger: each spend leads its own commit
+        // at once (the leader waits for no one) and pays its own fsync.
         let path = wal_path("group-solo.wal");
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 2_000_000,
-            max_batch: 8,
-        }));
-        let t0 = std::time::Instant::now();
         for id in 1..=3u64 {
-            acc.try_spend_grant_cancellable(
-                id,
-                format!("request/{id}"),
-                Epsilon::new(0.1).unwrap(),
-                None,
-            )
-            .unwrap();
+            acc.try_spend_grant(id, format!("request/{id}"), Epsilon::new(0.1).unwrap())
+                .unwrap();
         }
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "solo spends waited out the group-commit window ({:?})",
-            t0.elapsed()
-        );
         let stats = acc.ledger_stats();
         assert_eq!(stats.grants_appended, 3);
         assert_eq!(stats.append_batches, 3, "each solo spend is its own batch");
@@ -1702,11 +1607,7 @@ mod tests {
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
         acc.set_checkpoint_every(Some(2));
-        acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 100_000,
-            max_batch: 6,
-        }));
-        let barrier = std::sync::Barrier::new(6);
+        let barrier = std::sync::Barrier::new(7);
         std::thread::scope(|scope| {
             for id in 1..=6u64 {
                 let acc = &acc;
@@ -1722,6 +1623,9 @@ mod tests {
                     .unwrap();
                 });
             }
+            lead_until_admitted(&acc, 6, || {
+                barrier.wait();
+            });
         });
         let stats = acc.ledger_stats();
         // Accounting is per batch: each fsynced batch triggers at most one

@@ -60,8 +60,7 @@
 //! deterministic and free).
 
 use dpx_runtime::faultpoint::{
-    LEDGER_CKPT_POST_RENAME, LEDGER_CKPT_PRE_RENAME, LEDGER_GROUP_POST_FSYNC,
-    LEDGER_GROUP_PRE_FSYNC, LEDGER_POST_FSYNC, LEDGER_PRE_FSYNC,
+    LEDGER_CKPT_POST_RENAME, LEDGER_CKPT_PRE_RENAME, LEDGER_POST_FSYNC, LEDGER_PRE_FSYNC,
 };
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -641,18 +640,18 @@ impl LedgerWriter {
     /// the grant is durable; on error nothing may be assumed and the caller
     /// must not treat the spend as accepted.
     pub fn append(&mut self, grant: &GrantRecord) -> Result<(), LedgerError> {
-        let record = encode_record(grant);
-        self.file.write_all(&record)?;
-        dpx_runtime::faultpoint::hit(LEDGER_PRE_FSYNC);
-        self.file.sync_data()?;
-        dpx_runtime::faultpoint::hit(LEDGER_POST_FSYNC);
-        Ok(())
+        self.append_all(std::slice::from_ref(grant))
     }
 
-    /// Appends a batch of grant records under a single `fsync` — the bulk
-    /// path for rebuilding ledgers (benchmarks, migrations). The batch is
-    /// durable as a whole when this returns; a crash mid-call may leave any
-    /// prefix, which recovery handles like any torn tail.
+    /// Appends a batch of grant records under a single `fsync` — a group
+    /// commit's one durable write, byte-for-byte a run of [`append`]s. The
+    /// batch is durable as a whole when this returns. A crash before the
+    /// fsync (`ledger.pre_fsync`) may leave any prefix of the batch, which
+    /// recovery truncates like any torn tail; after it (`ledger.post_fsync`)
+    /// the whole batch is durable even though no spender in it has been
+    /// acked yet.
+    ///
+    /// [`append`]: LedgerWriter::append
     pub fn append_all(&mut self, grants: &[GrantRecord]) -> Result<(), LedgerError> {
         let mut bytes = Vec::new();
         for grant in grants {
@@ -662,26 +661,6 @@ impl LedgerWriter {
         dpx_runtime::faultpoint::hit(LEDGER_PRE_FSYNC);
         self.file.sync_data()?;
         dpx_runtime::faultpoint::hit(LEDGER_POST_FSYNC);
-        Ok(())
-    }
-
-    /// Appends a **group-commit batch** under a single `fsync` — identical
-    /// bytes to [`LedgerWriter::append_all`], but instrumented with the
-    /// group-commit fault points (`ledger.group_pre_fsync` /
-    /// `ledger.group_post_fsync`) so the crash matrix can kill a serving
-    /// process exactly mid-batch. A crash before the fsync may leave any
-    /// prefix of the batch (recovery truncates a torn tail as usual); after
-    /// the fsync the whole batch is durable even though no spender in it has
-    /// been acked yet.
-    pub fn append_group(&mut self, grants: &[GrantRecord]) -> Result<(), LedgerError> {
-        let mut bytes = Vec::new();
-        for grant in grants {
-            bytes.extend_from_slice(&encode_record(grant));
-        }
-        self.file.write_all(&bytes)?;
-        dpx_runtime::faultpoint::hit(LEDGER_GROUP_PRE_FSYNC);
-        self.file.sync_data()?;
-        dpx_runtime::faultpoint::hit(LEDGER_GROUP_POST_FSYNC);
         Ok(())
     }
 
@@ -889,31 +868,23 @@ mod tests {
     }
 
     #[test]
-    fn append_group_is_bytewise_identical_to_append_all() {
-        let grouped = tmp("group.wal");
-        let bulk = tmp("bulk.wal");
-        let (mut gw, _) = LedgerWriter::open(&grouped).unwrap();
-        let (mut bw, _) = LedgerWriter::open(&bulk).unwrap();
-        let pre = dpx_runtime::faultpoint::hits(LEDGER_GROUP_PRE_FSYNC);
-        let post = dpx_runtime::faultpoint::hits(LEDGER_GROUP_POST_FSYNC);
-        gw.append_group(&sample_grants()).unwrap();
+    fn append_all_is_bytewise_a_run_of_appends() {
+        let batched = tmp("group.wal");
+        let single = tmp("single.wal");
+        let (mut bw, _) = LedgerWriter::open(&batched).unwrap();
+        let (mut sw, _) = LedgerWriter::open(&single).unwrap();
         bw.append_all(&sample_grants()).unwrap();
-        assert_eq!(
-            dpx_runtime::faultpoint::hits(LEDGER_GROUP_PRE_FSYNC),
-            pre + 1
-        );
-        assert_eq!(
-            dpx_runtime::faultpoint::hits(LEDGER_GROUP_POST_FSYNC),
-            post + 1
-        );
-        drop(gw);
+        for grant in &sample_grants() {
+            sw.append(grant).unwrap();
+        }
         drop(bw);
+        drop(sw);
         assert_eq!(
-            std::fs::read(&grouped).unwrap(),
-            std::fs::read(&bulk).unwrap(),
-            "group commit changes instrumentation, never bytes"
+            std::fs::read(&batched).unwrap(),
+            std::fs::read(&single).unwrap(),
+            "group commit changes fsync count, never bytes"
         );
-        assert_eq!(recover(&grouped).unwrap().grants, sample_grants());
+        assert_eq!(recover(&batched).unwrap().grants, sample_grants());
     }
 
     #[test]

@@ -61,8 +61,7 @@ pub mod sparse_vector;
 pub mod topk;
 
 pub use budget::{
-    Accountant, AccountantProbe, Epsilon, GroupCommitPolicy, LedgerStats, Sensitivity,
-    SharedAccountant,
+    Accountant, AccountantProbe, Epsilon, LedgerStats, Sensitivity, SharedAccountant,
 };
 pub use counter::{gumbel_at, CounterRng};
 pub use error::DpError;

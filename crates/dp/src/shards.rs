@@ -19,7 +19,7 @@
 //! shard that already has a WAL *recovers* it — the spent ε survives the
 //! process, which is the whole point — rather than resetting it.
 
-use crate::budget::{AccountantProbe, Epsilon, GroupCommitPolicy, LedgerStats, SharedAccountant};
+use crate::budget::{AccountantProbe, Epsilon, LedgerStats, SharedAccountant};
 use crate::error::DpError;
 use crate::ledger::LedgerWriter;
 use std::collections::BTreeMap;
@@ -34,10 +34,6 @@ pub struct ShardConfig {
     /// Auto-checkpoint the shard's WAL after this many grants (`None`:
     /// never; ignored for in-memory shards, which have no WAL).
     pub checkpoint_every: Option<u64>,
-    /// Group-commit window for the shard's grant spends (`None` — or a
-    /// policy with `max_batch <= 1` — keeps per-grant append+fsync; ignored
-    /// for in-memory shards, which have no fsync to amortize).
-    pub group_commit: Option<GroupCommitPolicy>,
 }
 
 impl ShardConfig {
@@ -136,7 +132,6 @@ impl AccountantShards {
                     })?;
                 let acc = SharedAccountant::recovered(config.cap, writer, &recovery);
                 acc.set_checkpoint_every(config.checkpoint_every);
-                acc.set_group_commit(config.group_commit);
                 Arc::new(acc)
             }
         };
@@ -303,7 +298,6 @@ mod tests {
                 ShardConfig {
                     cap: Some(eps(10.0)),
                     checkpoint_every: Some(2),
-                    ..ShardConfig::default()
                 },
             )
             .unwrap();

@@ -1,10 +1,12 @@
 //! Leader/follower batching: amortize an expensive commit over queued items.
 //!
-//! The serving ledger pays one `fsync` per grant; under contention those
-//! fsyncs serialize and dominate the hot path. The classic database fix is
-//! **group commit**: the first writer to arrive becomes the *leader*, waits a
-//! bounded window for followers to pile up, commits the whole queue with one
-//! durable write, and hands each follower its own result. Every submitter
+//! A serving ledger that paid one `fsync` per grant would serialize those
+//! fsyncs under contention and let them dominate the hot path. The classic
+//! database fix is **group commit**: the first writer to arrive becomes the
+//! *leader*, commits the whole queue with one durable write, and hands each
+//! follower its own result. The leader waits for no one: a batch is
+//! whatever queued while the previous commit was in flight, so a lone
+//! writer commits at once and batches form only under load. Every submitter
 //! still blocks until *its* item is committed — batching changes the cost,
 //! never the contract.
 //!
@@ -14,10 +16,10 @@
 //!
 //! * [`Batcher::submit`] enqueues an item and blocks until the item's result
 //!   is posted. The first submitter to find no active leader **becomes** the
-//!   leader: it waits out the window (`max_wait`, cut short when `max_batch`
-//!   items are queued), drains the queue head in submission order, runs the
-//!   caller's `process` closure on the drained batch *outside* all locks,
-//!   posts the per-item results, and wakes the followers.
+//!   leader: it drains up to `max_batch` items from the queue head in
+//!   submission order, runs the caller's `process` closure on the drained
+//!   batch *outside* all locks, posts the per-item results, and wakes the
+//!   followers.
 //! * Submission order is preserved: the leader drains from the queue head,
 //!   and `process` receives items exactly in submission order — a WAL-backed
 //!   `process` therefore appends in admission order, keeping replay exact.
@@ -38,19 +40,7 @@
 use crate::cancel::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
-
-/// How long a leader may hold the commit open, and for how many items.
-///
-/// `max_batch == 1` (or `max_wait == 0` with an empty queue) degenerates to
-/// per-item commits — the unbatched behavior, selectable at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchWindow {
-    /// Longest time the leader waits for followers before committing.
-    pub max_wait: Duration,
-    /// Commit as soon as this many items are queued (minimum 1).
-    pub max_batch: usize,
-}
+use std::time::Duration;
 
 /// The outcome of [`Batcher::submit`].
 #[derive(Debug)]
@@ -67,7 +57,7 @@ pub enum Submit<T, R> {
     },
 }
 
-/// Granularity of the follower/leader condvar polls when a cancellable wait
+/// Granularity of the follower condvar polls when a cancellable wait
 /// must also watch a [`CancelToken`] (whose deadline is not exposed as an
 /// `Instant`). One millisecond keeps deadline overshoot far below any
 /// meaningful `deadline_ms` while costing nothing measurable per request.
@@ -87,8 +77,6 @@ struct State<T, R> {
 #[derive(Debug)]
 pub struct Batcher<T, R> {
     state: Mutex<State<T, R>>,
-    /// Wakes the window-waiting leader when the queue grows.
-    leader_cv: Condvar,
     /// Wakes followers when results are posted or leadership is released.
     follower_cv: Condvar,
 }
@@ -116,7 +104,6 @@ impl<T, R> Drop for LeaderGuard<'_, T, R> {
         state.leader_active = false;
         drop(state);
         self.batcher.follower_cv.notify_all();
-        self.batcher.leader_cv.notify_one();
     }
 }
 
@@ -130,7 +117,6 @@ impl<T, R> Batcher<T, R> {
                 next_seq: 0,
                 leader_active: false,
             }),
-            leader_cv: Condvar::new(),
             follower_cv: Condvar::new(),
         }
     }
@@ -141,15 +127,16 @@ impl<T, R> Batcher<T, R> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Items currently queued (test observability).
-    pub fn queued(&self) -> usize {
+    /// Items currently queued.
+    #[cfg(test)]
+    fn queued(&self) -> usize {
         self.lock().queue.len()
     }
 
     /// Enqueues `item` and blocks until it is processed (or withdrawn by
     /// cancellation). The first submitter to find no active leader leads:
-    /// it waits out `window`, drains up to `window.max_batch` items from the
-    /// queue head, and calls `process` on them — `process` must return
+    /// without waiting, it drains up to `max_batch` (at least 1) items from
+    /// the queue head and calls `process` on them — `process` must return
     /// exactly one result per item, in order.
     ///
     /// # Panics
@@ -160,20 +147,18 @@ impl<T, R> Batcher<T, R> {
     pub fn submit<F>(
         &self,
         item: T,
-        window: BatchWindow,
+        max_batch: usize,
         cancel: Option<&CancelToken>,
         mut process: F,
     ) -> Submit<T, R>
     where
         F: FnMut(Vec<T>) -> Vec<R>,
     {
-        let max_batch = window.max_batch.max(1);
+        let max_batch = max_batch.max(1);
         let mut state = self.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
         state.queue.push_back((seq, item));
-        // A window-waiting leader may be able to commit early now.
-        self.leader_cv.notify_one();
         loop {
             if let Some(slot) = state.results.remove(&seq) {
                 return match slot {
@@ -187,21 +172,6 @@ impl<T, R> Batcher<T, R> {
                     batcher: self,
                     pending: Vec::new(),
                 };
-                let deadline = Instant::now() + window.max_wait;
-                while state.queue.len() < max_batch {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (next, timeout) = self
-                        .leader_cv
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = next;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
                 let take = state.queue.len().min(max_batch);
                 let (seqs, items): (Vec<u64>, Vec<T>) = state.queue.drain(..take).unzip();
                 guard.pending = seqs;
@@ -253,46 +223,32 @@ impl<T, R> Batcher<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
 
-    fn window(max_wait_ms: u64, max_batch: usize) -> BatchWindow {
-        BatchWindow {
-            max_wait: Duration::from_millis(max_wait_ms),
-            max_batch,
-        }
-    }
-
-    #[test]
-    fn single_item_commits_alone() {
-        let batcher: Batcher<u32, u32> = Batcher::new();
-        let out = batcher.submit(7, window(0, 8), None, |items| {
-            assert_eq!(items, vec![7]);
-            items.iter().map(|x| x * 2).collect()
-        });
-        match out {
-            Submit::Done(v) => assert_eq!(v, 14),
-            other => panic!("expected Done, got {other:?}"),
-        }
-        assert_eq!(batcher.queued(), 0);
-    }
-
-    #[test]
-    fn concurrent_submitters_share_batches_and_get_own_results() {
-        const N: usize = 8;
+    /// Runs `n` barrier-aligned submitters of items `0..n` under
+    /// `max_batch` and returns the size of each commit, in order. The first
+    /// commit keeps its leadership until every other item is queued behind
+    /// it, so later leaders are sure to find a pile-up.
+    fn piled_up_commit_sizes(n: usize, max_batch: usize) -> Vec<usize> {
         let batcher: Arc<Batcher<usize, usize>> = Arc::new(Batcher::new());
-        let barrier = Arc::new(Barrier::new(N));
-        let commits = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..N)
+        let sizes: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let barrier = Arc::new(Barrier::new(n));
+        let handles: Vec<_> = (0..n)
             .map(|i| {
                 let batcher = Arc::clone(&batcher);
+                let sizes = Arc::clone(&sizes);
                 let barrier = Arc::clone(&barrier);
-                let commits = Arc::clone(&commits);
                 thread::spawn(move || {
                     barrier.wait();
-                    let out = batcher.submit(i, window(50, N), None, |items| {
-                        commits.fetch_add(1, Ordering::SeqCst);
+                    let out = batcher.submit(i, max_batch, None, |items| {
+                        let mut sizes = sizes.lock().unwrap();
+                        if sizes.is_empty() {
+                            while items.len() + batcher.queued() < n {
+                                thread::yield_now();
+                            }
+                        }
+                        sizes.push(items.len());
                         items.iter().map(|x| x * 10).collect()
                     });
                     match out {
@@ -305,10 +261,32 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // All 8 items were committed in fewer than 8 commits: batching
-        // happened (barrier-aligned start, generous window).
-        assert!(commits.load(Ordering::SeqCst) < N, "at least one batch > 1");
         assert_eq!(batcher.queued(), 0);
+        let sizes = sizes.lock().unwrap().clone();
+        assert_eq!(sizes.iter().sum::<usize>(), n, "every item exactly once");
+        sizes
+    }
+
+    #[test]
+    fn single_item_commits_alone() {
+        let batcher: Batcher<u32, u32> = Batcher::new();
+        let out = batcher.submit(7, 8, None, |items| {
+            assert_eq!(items, vec![7]);
+            items.iter().map(|x| x * 2).collect()
+        });
+        match out {
+            Submit::Done(v) => assert_eq!(v, 14),
+            other => panic!("expected Done, got {other:?}"),
+        }
+        assert_eq!(batcher.queued(), 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_share_batches_and_get_own_results() {
+        // All 8 items are committed in fewer than 8 commits: the items that
+        // queued behind the first commit went out together.
+        let sizes = piled_up_commit_sizes(8, 8);
+        assert!(sizes.len() < 8, "at least one batch > 1: {sizes:?}");
     }
 
     #[test]
@@ -319,7 +297,7 @@ mod tests {
         // order; the assertion is that `process` observes it.
         for i in 0..5 {
             let seen = Arc::clone(&seen);
-            let out = batcher.submit(i, window(0, 1), None, move |items| {
+            let out = batcher.submit(i, 1, None, move |items| {
                 seen.lock().unwrap().extend(items.iter().copied());
                 items
             });
@@ -330,35 +308,13 @@ mod tests {
 
     #[test]
     fn max_batch_splits_oversize_queues() {
-        // One slow leader lets 4 items pile up; max_batch 2 forces at least
-        // two separate commits for them.
-        let batcher: Arc<Batcher<usize, usize>> = Arc::new(Batcher::new());
-        let sizes: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let batcher = Arc::clone(&batcher);
-                let sizes = Arc::clone(&sizes);
-                let barrier = Arc::clone(&barrier);
-                thread::spawn(move || {
-                    barrier.wait();
-                    let out = batcher.submit(i, window(40, 2), None, |items| {
-                        sizes.lock().unwrap().push(items.len());
-                        items
-                    });
-                    assert!(matches!(out, Submit::Done(v) if v == i));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let sizes = sizes.lock().unwrap();
+        // 4 items pile up behind one leader; max_batch 2 forces at least two
+        // separate commits for them.
+        let sizes = piled_up_commit_sizes(4, 2);
         assert!(
             sizes.iter().all(|&n| (1..=2).contains(&n)),
             "sizes: {sizes:?}"
         );
-        assert_eq!(sizes.iter().sum::<usize>(), 4, "every item exactly once");
     }
 
     #[test]
@@ -369,7 +325,7 @@ mod tests {
         let leader = {
             let batcher = Arc::clone(&batcher);
             thread::spawn(move || {
-                batcher.submit("leader", window(0, 1), None, |items| {
+                batcher.submit("leader", 1, None, |items| {
                     thread::sleep(Duration::from_millis(60));
                     items.iter().map(|_| ()).collect()
                 })
@@ -377,7 +333,7 @@ mod tests {
         };
         thread::sleep(Duration::from_millis(10));
         let token = CancelToken::with_deadline(Duration::from_millis(5));
-        let out = batcher.submit("late", window(0, 1), Some(&token), |items| {
+        let out = batcher.submit("late", 1, Some(&token), |items| {
             items.iter().map(|_| ()).collect()
         });
         match out {
@@ -401,11 +357,11 @@ mod tests {
         let batcher: Arc<Batcher<usize, usize>> = Arc::new(Batcher::new());
         let doomed = {
             let batcher = Arc::clone(&batcher);
-            thread::spawn(move || batcher.submit(0, window(0, 1), None, |_| panic!("boom")))
+            thread::spawn(move || batcher.submit(0, 1, None, |_| panic!("boom")))
         };
         assert!(doomed.join().is_err(), "leader's panic propagates");
         // The queue is usable again: a later submitter elects itself leader.
-        let out = batcher.submit(1, window(0, 1), None, |items| items);
+        let out = batcher.submit(1, 1, None, |items| items);
         assert!(matches!(out, Submit::Done(1)));
     }
 }

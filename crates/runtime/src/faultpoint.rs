@@ -17,19 +17,26 @@
 //! DPX_CRASH_AT="ledger.pre_fsync:3"   # abort on the 3rd pre-fsync hit
 //! ```
 //!
-//! Determinism: hit counts are process-global and the serving path hits each
-//! point a deterministic number of times for a given request batch, so a
-//! schedule names one exact program state. The `crash_matrix` test enumerates
-//! schedules from a seed and asserts the recovery invariants after each kill.
+//! Determinism: hit counts are process-global. With one worker the serving
+//! path hits each point a deterministic number of times for a given request
+//! batch, so a schedule names one exact program state. With more workers the
+//! ledger's group commit folds however many grants happened to queue into
+//! one batch, so `ledger.*` hit counts depend on scheduling and a schedule
+//! names one of several states — each of which must still recover. The
+//! `crash_matrix` test enumerates schedules from a seed and asserts the
+//! recovery invariants after each kill.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Fault point: a ledger record has been written but not yet fsynced. A kill
-/// here may leave a torn tail that recovery must truncate.
+/// Fault point: a batch of ledger records (one or more grants of a group
+/// commit) has been written but not yet fsynced. A kill here may tear the
+/// batch mid-record; recovery must truncate the tail and count only the
+/// durable prefix.
 pub const LEDGER_PRE_FSYNC: &str = "ledger.pre_fsync";
-/// Fault point: a ledger record is durable but the in-memory accountant has
-/// not yet observed it. Recovery must still count the grant.
+/// Fault point: a batch of ledger records is durable but no spender in it
+/// has been acked or charged in memory. Recovery must count every grant in
+/// the batch; none of their responses may have been flushed.
 pub const LEDGER_POST_FSYNC: &str = "ledger.post_fsync";
 /// Fault point: a request has been admitted but its ε not yet reserved.
 pub const SERVICE_PRE_SPEND: &str = "service.pre_spend";
@@ -43,14 +50,6 @@ pub const SERVICE_POST_RESPOND: &str = "service.post_respond";
 /// appended the grant to its WAL. A kill here must lose the request, never
 /// the budget invariant.
 pub const SHARD_PRE_APPEND: &str = "shard.pre_append";
-/// Fault point: a group-commit batch of ledger records has been written but
-/// not yet fsynced. A kill here may tear the batch mid-record; recovery must
-/// truncate the tail and count only the durable prefix.
-pub const LEDGER_GROUP_PRE_FSYNC: &str = "ledger.group_pre_fsync";
-/// Fault point: a group-commit batch is durable but no spender in the batch
-/// has been acked or charged in memory. Recovery must count every grant in
-/// the batch; none of their responses may have been flushed.
-pub const LEDGER_GROUP_POST_FSYNC: &str = "ledger.group_post_fsync";
 /// Fault point: a checkpoint's compacted replacement file is written and
 /// synced, but the atomic rename over the live WAL has not happened. A kill
 /// here must leave the full-history WAL intact (plus a stale tmp to sweep).

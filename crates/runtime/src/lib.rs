@@ -36,8 +36,9 @@
 //! apply them to grants and count tables respectively:
 //!
 //! * [`batch`] — a leader/follower [`Batcher`]: the first submitter commits
-//!   the whole queue in one `process` call (group commit), every submitter
-//!   still acks only after its own item is committed.
+//!   the whole queue in one `process` call without waiting for followers
+//!   (group commit), every submitter still acks only after its own item is
+//!   committed.
 //! * [`singleflight`] — a [`SingleFlight`] key set: one builder per key,
 //!   followers block on the flight instead of duplicating the build, and a
 //!   panicking builder releases the key instead of wedging them.
@@ -59,7 +60,7 @@ pub mod parallel;
 pub mod queue;
 pub mod singleflight;
 
-pub use batch::{BatchWindow, Batcher, Submit};
+pub use batch::{Batcher, Submit};
 pub use cancel::{CancelToken, REASON_DEADLINE};
 pub use parallel::{chunk_worker_reduce, default_threads, ordered_parallel_map, pairwise_merge};
 pub use queue::{BoundedTenantQueue, PushError};

@@ -1157,23 +1157,30 @@ impl SpendGate for SharedAccountant {
 }
 
 /// The classic check-then-spend gate: the cap check and the spend are two
-/// separate critical sections with a deliberate window between them, so
-/// racing spenders can all pass the check against the same headroom and
-/// jointly breach the cap. Exists purely to prove [`gate_storm`] has teeth.
+/// separate critical sections with a window between them, so racing
+/// spenders can all pass the check against the same headroom and jointly
+/// breach the cap. Exists purely to prove [`gate_storm`] has teeth.
+///
+/// The window is a barrier sized to the storm: every racer checks, then
+/// waits for all the others before spending. So every racer passes the
+/// check against an untouched budget, and the breach — how many were
+/// admitted, and the ε they spent — is a function of the storm, not of
+/// thread scheduling.
 #[derive(Debug)]
 pub struct NaiveGate {
     cap: f64,
     spent: Mutex<f64>,
-    window: Duration,
+    window: Barrier,
 }
 
 impl NaiveGate {
-    /// A naive gate with `cap` and a 2 ms check-to-spend window.
-    pub fn new(cap: f64) -> Self {
+    /// A naive gate with `cap` for a storm of `racers` spenders, each of
+    /// which must call [`SpendGate::try_admit`] exactly once.
+    pub fn new(cap: f64, racers: usize) -> Self {
         NaiveGate {
             cap,
             spent: Mutex::new(0.0),
-            window: Duration::from_millis(2),
+            window: Barrier::new(racers),
         }
     }
 }
@@ -1184,11 +1191,11 @@ impl SpendGate for NaiveGate {
             let spent = self.spent.lock().unwrap_or_else(PoisonError::into_inner);
             *spent + eps.get() <= self.cap + 1e-12
         };
+        // The TOCTOU window: no racer spends until every racer has checked.
+        self.window.wait();
         if !fits {
             return false;
         }
-        // The TOCTOU window: every racer has already passed the check.
-        std::thread::sleep(self.window);
         *self.spent.lock().unwrap_or_else(PoisonError::into_inner) += eps.get();
         true
     }
@@ -1253,21 +1260,22 @@ pub fn gate_storm<G: SpendGate>(gate: &G, spenders: usize, eps: f64, seed: u64) 
 
 /// Shrinks a failing gate storm: halves the spender count while the storm
 /// still fails, returning the smallest failing outcome found (or the
-/// original outcome when the storm passes at full size). The returned
-/// outcome's seed reproduces its run through [`gate_storm`].
+/// original outcome when the storm passes at full size). `make_gate` gets
+/// each storm's spender count. The returned outcome's seed reproduces its
+/// run through [`gate_storm`].
 pub fn shrink_gate_storm<G: SpendGate>(
-    make_gate: impl Fn() -> G,
+    make_gate: impl Fn(usize) -> G,
     spenders: usize,
     eps: f64,
     seed: u64,
 ) -> BatteryOutcome {
-    let mut smallest = gate_storm(&make_gate(), spenders, eps, seed);
+    let mut smallest = gate_storm(&make_gate(spenders), spenders, eps, seed);
     if smallest.passed() {
         return smallest;
     }
     let mut n = spenders;
     while n > 2 {
-        let candidate = gate_storm(&make_gate(), n / 2, eps, seed);
+        let candidate = gate_storm(&make_gate(n / 2), n / 2, eps, seed);
         if candidate.passed() {
             break;
         }
@@ -1309,7 +1317,7 @@ mod tests {
     #[test]
     fn naive_gate_fails_the_gate_storm_and_atomic_gate_passes() {
         // Cap fits exactly one spend: any second admission is a breach.
-        let naive = gate_storm(&NaiveGate::new(0.3), 8, 0.3, 42);
+        let naive = gate_storm(&NaiveGate::new(0.3, 8), 8, 0.3, 42);
         assert!(!naive.passed(), "the naive gate must be caught");
         assert!(
             naive.violations[0].contains("seed=42"),

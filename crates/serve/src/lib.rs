@@ -41,13 +41,14 @@
 //! [`DaemonConfig::checkpoint_every`] bounds replay by compacting each
 //! shard's WAL to a checkpoint record, and every response is handed to the
 //! transport's reply sink as it is produced, so a crash loses at most the
-//! in-flight lines. Under contention the ledger **group-commits**:
-//! concurrent spenders' grants are appended and fsynced as one batch by a
-//! leader thread (see [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)),
+//! in-flight lines. The ledger **group-commits**: grants that queue while a
+//! commit is in flight are appended and fsynced as one batch by a leader
+//! thread that waits for no one (see
+//! [`SharedAccountant::try_spend_grant_cancellable`](dpx_dp::SharedAccountant::try_spend_grant_cancellable)),
 //! every spend still acking only after *its own* record is durable.
 //! Requests are deadline-bounded cooperatively: a
 //! [`CancelToken`](dpx_runtime::CancelToken) minted before the spend bounds
-//! time queued in the commit window, time blocked on another request's
+//! time queued behind a commit, time blocked on another request's
 //! in-flight counts build, and the engine's stage boundaries. A request that
 //! expires *before* its grant commits answers `ok: false` with reason
 //! `deadline_exceeded` and spends no ε; one that expires later keeps its

@@ -81,8 +81,8 @@ pub struct ExplainRequest {
     pub consistency: bool,
     /// Per-request wall-clock budget in milliseconds (`None`: the daemon's
     /// default, or unbounded). The deadline bounds the whole serving path —
-    /// admission (including time queued in the ledger's group-commit window
-    /// or blocked on another request's in-flight counts build) and the
+    /// admission (including time queued behind the ledger's group commit or
+    /// blocked on another request's in-flight counts build) and the
     /// engine's stage boundaries. A request that expires *before* its ε
     /// grant commits answers `ok: false` with reason `deadline_exceeded`
     /// and spends nothing; one that expires after commits keeps its ε spent.

@@ -115,7 +115,7 @@ fn interference_keeps_the_victim_tenant_whole() {
 #[test]
 fn gate_storm_catches_the_naive_gate_and_reproduces_from_its_seed() {
     let seed = 0x0BAD_5EED;
-    let first = gate_storm(&NaiveGate::new(0.3), 16, 0.3, seed);
+    let first = gate_storm(&NaiveGate::new(0.3, 16), 16, 0.3, seed);
     assert!(!first.passed(), "the naive gate escaped the storm");
     assert!(
         first.violations[0].contains(&format!("seed={seed}")),
@@ -124,12 +124,12 @@ fn gate_storm_catches_the_naive_gate_and_reproduces_from_its_seed() {
     );
 
     // Reproduction: the printed seed re-creates the same failing run.
-    let again = gate_storm(&NaiveGate::new(0.3), 16, 0.3, seed);
+    let again = gate_storm(&NaiveGate::new(0.3, 16), 16, 0.3, seed);
     assert!(!again.passed());
     assert_eq!(first.violations, again.violations, "seeded runs must agree");
 
     // Shrinking: halving finds a smaller storm that still fails.
-    let smallest = shrink_gate_storm(|| NaiveGate::new(0.3), 16, 0.3, seed);
+    let smallest = shrink_gate_storm(|racers| NaiveGate::new(0.3, racers), 16, 0.3, seed);
     assert!(!smallest.passed());
     assert!(
         smallest.total < 16,
@@ -143,8 +143,8 @@ fn gate_storm_catches_the_naive_gate_and_reproduces_from_its_seed() {
 /// untouched.
 #[test]
 fn atomic_gate_survives_the_storm_the_naive_gate_fails() {
-    let make = || SharedAccountant::with_cap(Epsilon::new(0.3).unwrap());
-    let outcome = gate_storm(&make(), 16, 0.3, 0x0BAD_5EED);
+    let make = |_racers| SharedAccountant::with_cap(Epsilon::new(0.3).unwrap());
+    let outcome = gate_storm(&make(16), 16, 0.3, 0x0BAD_5EED);
     assert!(outcome.passed(), "{:?}", outcome.violations);
     assert_eq!(outcome.admitted, 1, "the cap fits exactly one spend");
     let shrunk = shrink_gate_storm(make, 16, 0.3, 0x0BAD_5EED);
