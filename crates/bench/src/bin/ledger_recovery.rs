@@ -1,81 +1,50 @@
 //! Ledger-recovery harness: how long `open()`-to-serving takes on a grant
 //! history of N records, full-history replay vs checkpointed recovery, with
-//! the recovered spend asserted **bit-identical** between the two before any
+//! the recovered spend asserted **identical** between the two before any
 //! timing is trusted (a faster recovery that lands on a different ε is not a
 //! result — it is a correctness bug).
 //!
-//! Also reports the composition-aware replay dividend: the flat sum the
-//! pre-v2 ledger would have reconstructed vs the tight
-//! sequential-plus-max-per-group bound the v2 format replays, i.e. how much
-//! ε a restart reclaims for the analysts.
+//! Also runs the long-horizon accountant cell: `--accountant-grants` grants
+//! on one capped in-memory shard, timing the first and the last 10% of them.
+//! A shard that keeps a running total costs the same per grant at the end as
+//! at the start; one that re-sums a charge history per cap check does not.
 //!
 //! Emits `BENCH_ledger.json` (default `results/BENCH_ledger.json`, override
 //! with `--out`):
 //!
 //! ```text
 //! cargo run -p dpx-bench --release --bin ledger_recovery -- \
-//!     --grants 10000,100000 --checkpoint-every 1000
+//!     --grants 10000,100000 --checkpoint-every 1000 --accountant-grants 1000000
 //! ```
 
 use dpx_bench::{Args, Json};
-use dpx_dp::ledger::{CheckpointRecord, GrantRecord, GroupSnapshot, LedgerWriter};
+use dpx_dp::budget::{epsilon_units, Epsilon};
+use dpx_dp::ledger::{CheckpointRecord, GrantRecord, LedgerWriter};
 use dpx_dp::SharedAccountant;
 use std::path::Path;
 use std::time::Instant;
 
-/// The grant mix: every fourth grant is a parallel-composition member over
-/// four cycling partition groups, the rest compose sequentially. ε varies so
-/// replay order matters and the bit-exactness assertion has teeth.
+/// The grant mix: ε varies over 17 values so the total is not a multiple of
+/// one grant.
 fn history(n: usize) -> Vec<GrantRecord> {
     (0..n)
         .map(|i| {
             let epsilon = 0.001 + (i % 17) as f64 * 0.0001;
-            let group = if i % 4 == 0 {
-                Some(format!("region/{}", i % 4 + (i / 4) % 4))
-            } else {
-                None
-            };
-            GrantRecord {
-                request_id: i as u64 + 1,
-                epsilon,
-                label: format!("request/{}", i + 1),
-                group,
-            }
+            GrantRecord::for_request(i as u64 + 1, epsilon_units(epsilon).expect("in range"))
         })
         .collect()
 }
 
 /// The checkpoint record a live accountant would have written after the
-/// first `upto` grants: the left-fold sequential partial sum, the granted
-/// ids, and the per-group maxima in group-creation order — exactly the
-/// state `Recovery::spent` seeds its fold with.
+/// first `upto` grants: their unit total and their sorted request ids.
 fn checkpoint_after(grants: &[GrantRecord], upto: usize) -> CheckpointRecord {
     let prefix = &grants[..upto];
-    let mut seq_spent = 0.0f64;
-    let mut groups: Vec<GroupSnapshot> = Vec::new();
-    for g in prefix {
-        match g.group.as_deref() {
-            None => seq_spent += g.epsilon,
-            Some(name) => match groups.iter_mut().find(|s| s.name == name) {
-                Some(s) => s.max = s.max.max(g.epsilon),
-                None => groups.push(GroupSnapshot {
-                    name: name.to_string(),
-                    max: g.epsilon,
-                }),
-            },
-        }
-    }
+    let mut granted: Vec<u64> = prefix.iter().map(|g| g.request_id).collect();
+    granted.sort_unstable();
     CheckpointRecord {
-        seq_spent,
-        granted: prefix.iter().map(|g| g.request_id).collect(),
-        groups,
+        spent_units: prefix.iter().map(|g| g.units).sum(),
+        granted,
     }
-}
-
-/// The conservative flat-sum bound the v1 ledger replayed: every grant
-/// added, parallel composition ignored.
-fn flat_sum(grants: &[GrantRecord]) -> f64 {
-    grants.iter().map(|g| g.epsilon).sum()
 }
 
 /// Best-of-`runs` wall time of a cold open-to-serving recovery: parse and
@@ -95,17 +64,49 @@ fn time_recovery(path: &Path, runs: usize) -> (f64, f64, u64) {
     (best, spent, replayed)
 }
 
+/// The long-horizon cell: `n` grants of 0.5 ε on a fresh shard capped well
+/// above their total, request ids `id(0..n)`, returning µs per grant over the
+/// first and the last 10%, each the best of `runs` shards (a window lasts
+/// about 10 ms, short enough for one scheduler stall to double it).
+fn time_long_horizon(n: usize, runs: usize, id: impl Fn(usize) -> u64) -> (f64, f64) {
+    let eps = Epsilon::new(0.5).expect("valid ε");
+    let window = (n / 10).max(1);
+    let (mut first, mut last) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..runs {
+        let shard = SharedAccountant::with_cap(Epsilon::new(n as f64).expect("positive cap"));
+        let mut start = Instant::now();
+        for i in 0..n {
+            if i == n - window {
+                start = Instant::now();
+            }
+            shard
+                .try_spend_grant(id(i), "request", eps)
+                .expect("under the cap");
+            if i + 1 == window {
+                first = first.min(start.elapsed().as_secs_f64());
+            }
+        }
+        last = last.min(start.elapsed().as_secs_f64());
+        assert_eq!(shard.num_charges(), n, "every grant recorded");
+        assert_eq!(shard.spent(), 0.5 * n as f64, "exact total");
+    }
+    let per_grant_us = |secs: f64| secs * 1e6 / window as f64;
+    (per_grant_us(first), per_grant_us(last))
+}
+
 fn main() {
     let args = Args::parse();
     let sizes = args.usize_list("grants", &[10_000, 100_000]);
     let checkpoint_every = args.usize("checkpoint-every", 1_000);
     let runs = args.usize("runs", 3);
+    let accountant_grants = args.usize("accountant-grants", 1_000_000);
     let out = args.string("out", "results/BENCH_ledger.json");
     let dir = std::env::temp_dir().join(format!("dpx-bench-ledger-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 
     eprintln!(
-        "# ledger_recovery: grants {sizes:?}, checkpoint every {checkpoint_every}, {runs} runs"
+        "# ledger_recovery: grants {sizes:?}, checkpoint every {checkpoint_every}, {runs} runs, \
+         {accountant_grants} accountant grants"
     );
 
     let mut cells = Vec::new();
@@ -142,25 +143,18 @@ fn main() {
         let (full_s, full_spent, full_replayed) = time_recovery(&full_path, runs);
         let (ckpt_s, ckpt_spent, ckpt_replayed) = time_recovery(&ckpt_path, runs);
 
-        // Correctness before timing: both recoveries land on the same bits,
-        // and that spend matches an in-memory replay of the tight bound.
+        // Correctness before timing: both recoveries land on the same bits.
         assert_eq!(
             full_spent.to_bits(),
             ckpt_spent.to_bits(),
             "n={n}: checkpointed recovery diverged from full-history replay"
-        );
-        let flat = flat_sum(&grants);
-        let reclaimed = flat - full_spent;
-        assert!(
-            reclaimed > 0.0,
-            "n={n}: the grant mix must exercise parallel composition"
         );
 
         let speedup = full_s / ckpt_s;
         eprintln!(
             "# {n:>7} grants: full {full_s:.4}s ({full_replayed} records) vs \
              checkpointed {ckpt_s:.4}s ({ckpt_replayed} records) — {speedup:.1}x; \
-             tight ε {full_spent:.3} reclaims {reclaimed:.3} over flat {flat:.3}"
+             spent ε {full_spent:.3}"
         );
         if n >= 100_000 {
             assert!(
@@ -181,18 +175,39 @@ fn main() {
                 .field("checkpointed_records_replayed", ckpt_replayed as usize)
                 .field("checkpointed_wal_bytes", ckpt_bytes as usize)
                 .field("speedup", speedup)
-                .field("spent_tight", full_spent)
-                .field("spent_flat", flat)
-                .field("eps_reclaimed", reclaimed),
+                .field("spent", full_spent),
         );
     }
+
+    // Increasing ids, as the CLI and the benchmarks assign them; then the
+    // same count scattered over the id space (multiplying by an odd constant
+    // permutes u64), the worst case for the granted-id set's locality.
+    let (first_us, last_us) = time_long_horizon(accountant_grants, runs, |i| i as u64 + 1);
+    let (scattered_first_us, scattered_last_us) = time_long_horizon(accountant_grants, runs, |i| {
+        (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    let ratio = last_us / first_us;
+    let scattered_ratio = scattered_last_us / scattered_first_us;
+    eprintln!(
+        "# {accountant_grants} capped in-memory grants: {first_us:.3} µs/grant over the first \
+         10%, {last_us:.3} over the last — {ratio:.2}x (scattered ids {scattered_ratio:.2}x)"
+    );
+    let long_horizon = Json::object()
+        .field("grants", accountant_grants)
+        .field("first_10pct_us_per_grant", first_us)
+        .field("last_10pct_us_per_grant", last_us)
+        .field("last_over_first", ratio)
+        .field("scattered_ids_first_10pct_us_per_grant", scattered_first_us)
+        .field("scattered_ids_last_10pct_us_per_grant", scattered_last_us)
+        .field("scattered_ids_last_over_first", scattered_ratio);
 
     let doc = Json::object()
         .field("bench", "ledger_recovery")
         .field("host", dpx_bench::host_block())
         .field("checkpoint_every", checkpoint_every)
         .field("runs", runs)
-        .field("cells", cells);
+        .field("cells", cells)
+        .field("long_horizon", long_horizon);
 
     if let Some(parent) = std::path::Path::new(&out).parent() {
         if !parent.as_os_str().is_empty() {

@@ -52,7 +52,6 @@
 
 pub mod baselines;
 pub mod counts;
-pub mod custom;
 pub mod engine;
 pub mod eval;
 pub mod explanation;

@@ -8,14 +8,17 @@
 //! and auditable: every mechanism invocation records a labelled charge, and the
 //! total is checked against a cap so an experiment can assert, at run time,
 //! that it spent exactly the ε it claims (Theorem 5.1).
+//!
+//! A served request's whole `ε_CandSet + ε_TopComb + ε_Hist` is one grant
+//! against its dataset's long-lived [`SharedAccountant`], which keeps an
+//! exact running total in integer units of 10⁻¹² ε (see [`epsilon_units`])
+//! rather than a history of charges.
 
 use crate::error::DpError;
-use crate::ledger::{
-    CheckpointRecord, GrantRecord, GroupSnapshot, LedgerWriter, Recovery, NO_REQUEST,
-};
+use crate::ledger::{CheckpointRecord, GrantRecord, LedgerWriter, Recovery, NO_REQUEST};
 use dpx_runtime::faultpoint::{self, SHARD_PRE_APPEND};
 use dpx_runtime::{Batcher, CancelToken, Submit};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A validated privacy parameter `ε > 0`.
@@ -163,9 +166,7 @@ pub struct LedgerMark {
 pub struct Accountant {
     cap: Option<f64>,
     sequential: Vec<Charge>,
-    /// `(group, max ε seen, members)`, in group-creation order. The order is
-    /// load-bearing: [`Accountant::spent`] adds group maxima in it, and
-    /// checkpoint replay reproduces the identical float-addition sequence.
+    /// `(group, max ε seen, members)`, in group-creation order.
     parallel: Vec<(String, f64, Vec<Charge>)>,
     /// Group name → index into `parallel`. Lookup used to be a linear scan
     /// per charge — O(#groups · #charges) across a per-cluster histogram
@@ -208,65 +209,6 @@ impl Accountant {
     /// the accountant is uncapped (headroom is unbounded, not zero).
     pub fn remaining(&self) -> Option<f64> {
         self.cap.map(|cap| (cap - self.spent()).max(0.0))
-    }
-
-    /// Records a charge replayed from a durable ledger, **bypassing the cap**:
-    /// recovered grants are history — the ε is already spent, and refusing to
-    /// count it would under-report the true privacy loss. A recovered total at
-    /// or above the cap simply leaves [`Accountant::remaining`] at zero.
-    fn charge_replayed(&mut self, label: impl Into<String>, epsilon: f64) {
-        self.sequential.push(Charge {
-            label: label.into(),
-            epsilon,
-            kind: ChargeKind::Sequential,
-        });
-    }
-
-    /// Parallel-composition counterpart of [`Accountant::charge_replayed`]:
-    /// cap-bypassing replay of a grant into its named group, using the same
-    /// running-max update as the live path so replay is bit-exact.
-    fn charge_replayed_parallel(&mut self, group: String, label: String, epsilon: f64) {
-        let charge = Charge {
-            label,
-            epsilon,
-            kind: ChargeKind::Parallel,
-        };
-        match self.parallel_index.get(&group) {
-            Some(&idx) => {
-                let entry = &mut self.parallel[idx];
-                entry.1 = entry.1.max(epsilon);
-                entry.2.push(charge);
-            }
-            None => {
-                self.parallel_index
-                    .insert(group.clone(), self.parallel.len());
-                self.parallel.push((group, epsilon, vec![charge]));
-            }
-        }
-    }
-
-    /// The sequential partial sum (the left fold [`Accountant::spent`]
-    /// starts from) — what a checkpoint snapshots bit-exactly.
-    fn sequential_spent(&self) -> f64 {
-        self.sequential.iter().map(|c| c.epsilon).sum()
-    }
-
-    /// Snapshots this accountant's composition state (plus the given granted
-    /// request ids) as a checkpoint record. Group maxima are captured in
-    /// creation order so replay adds them back in the same order.
-    fn checkpoint_record(&self, granted: &[u64]) -> CheckpointRecord {
-        CheckpointRecord {
-            seq_spent: self.sequential_spent(),
-            granted: granted.to_vec(),
-            groups: self
-                .parallel
-                .iter()
-                .map(|(name, max, _)| GroupSnapshot {
-                    name: name.clone(),
-                    max: *max,
-                })
-                .collect(),
-        }
     }
 
     fn check_cap(&self, extra: f64) -> Result<(), DpError> {
@@ -329,14 +271,6 @@ impl Accountant {
         Ok(())
     }
 
-    /// The effective ε of the named parallel group (its running maximum), if
-    /// the group exists.
-    pub fn parallel_group_max(&self, group: &str) -> Option<f64> {
-        self.parallel_index
-            .get(group)
-            .map(|&idx| self.parallel[idx].1)
-    }
-
     /// Number of individual charges recorded (for audit output).
     pub fn num_charges(&self) -> usize {
         self.sequential.len() + self.parallel.iter().map(|(_, _, m)| m.len()).sum::<usize>()
@@ -345,13 +279,6 @@ impl Accountant {
     /// Iterates over all sequential charges (audit trail).
     pub fn sequential_charges(&self) -> impl Iterator<Item = &Charge> {
         self.sequential.iter()
-    }
-
-    /// Iterates over parallel groups as `(group name, effective ε, members)`.
-    pub fn parallel_groups(&self) -> impl Iterator<Item = (&str, f64, &[Charge])> {
-        self.parallel
-            .iter()
-            .map(|(g, max, m)| (g.as_str(), *max, m.as_slice()))
     }
 
     /// Captures the current ledger position for later delta queries.
@@ -411,63 +338,119 @@ impl Accountant {
     }
 }
 
-/// A thread-safe [`Accountant`]: many sessions spending from one shared
-/// budget, with **check-and-spend as a single atomic operation**.
+/// Shard accounting resolution: units per ε (one unit is 10⁻¹² ε).
+const UNITS_PER_EPSILON: f64 = 1e12;
+
+/// Converts ε to whole shard units, rounding to the **nearest** unit.
 ///
-/// Concurrency turns the accountant's cap check into a privacy hazard: two
-/// requests that each observe `remaining ≥ ε` and *then* record their charge
-/// can together push the total past the cap — a classic TOCTOU race that
-/// silently breaks the ε-DP guarantee (the composition theorem bounds the
-/// *actual* total spend, not what each racer believed it to be). Here every
-/// [`try_spend`](SharedAccountant::try_spend) holds the ledger lock across
-/// both the cap check and the recording (with a durable sink: the
-/// reservation the commit later turns into a charge), so there is no window
-/// in which a second spender can sneak past a stale check: the sum of all
-/// accepted charges can never exceed the cap, for any interleaving.
-///
-/// The inner ledger stays the audited, single-threaded [`Accountant`];
-/// [`snapshot`](SharedAccountant::snapshot) clones it out for audit trails
-/// and [`LedgerMark`]-based delta queries.
-///
-/// # Durability
-///
-/// An optional write-ahead sink (see [`crate::ledger`]) can be attached, after
-/// which every accepted spend follows the WAL rule *reserve against the cap →
-/// append+fsync → record in memory*. The reservation is taken under the one
-/// lock; the append and the in-memory charge happen together under it again,
-/// in a batch of up to 64 queued grants committed with one fsync (group
-/// commit, see [`SharedAccountant::try_spend_grant_cancellable`]). A spend
-/// only reports success once its grant is on stable storage, so a
-/// crash at any instant leaves the durable record a superset of every spend
-/// any caller ever saw accepted — the restart can only over-count
-/// (privacy-safe), never forget.
+/// Every grant is therefore within 5·10⁻¹³ ε of its `f64` value, and
+/// decimal and dyadic budgets convert exactly (0.1 → 10¹¹, 0.5 → 5·10¹¹), so
+/// three 0.1 grants fill a 0.3 cap exactly even though the `f64` sum
+/// `0.1 + 0.1 + 0.1` is `0.30000000000000004`. From then on a shard's sums
+/// and cap checks are exact integer arithmetic. An ε that rounds to zero
+/// units (below 5·10⁻¹³) or does not fit in a `u64` (about 1.8·10⁷ ε and
+/// up) is [`DpError::EpsilonOutOfRange`]: it is never saturated or wrapped.
+pub fn epsilon_units(eps: f64) -> Result<u64, DpError> {
+    let units = (eps * UNITS_PER_EPSILON).round();
+    // `u64::MAX as f64` is 2⁶⁴, one past the largest u64, so `<` keeps the
+    // cast exact; NaN fails both comparisons.
+    if units >= 1.0 && units < u64::MAX as f64 {
+        Ok(units as u64)
+    } else {
+        Err(DpError::EpsilonOutOfRange(eps))
+    }
+}
+
+/// The ε value of `units` shard units (the inverse of [`epsilon_units`]).
+pub fn units_epsilon(units: u64) -> f64 {
+    units as f64 / UNITS_PER_EPSILON
+}
+
+/// A cap's units, converted like a grant. A cap outside the representable
+/// range clamps *down* (to zero, or to the largest `u64`): a tighter cap is
+/// privacy-safe, a looser one would not be.
+fn cap_units(cap: Epsilon) -> u64 {
+    epsilon_units(cap.get()).unwrap_or(if cap.get() < 1.0 { 0 } else { u64::MAX })
+}
+
+/// The mutable state of one [`SharedAccountant`], guarded by its mutex.
 #[derive(Debug, Default)]
 struct Ledgered {
-    acc: Accountant,
-    sink: Option<LedgerWriter>,
+    /// The cap in units (`None`: uncapped).
+    cap: Option<u64>,
+    /// Units charged: recovered plus committed this run.
+    spent: u64,
+    /// Units admitted to the group-commit queue but not yet charged.
+    /// Admission reserves against the cap under this same lock, so
+    /// concurrent enqueuers cannot jointly breach it; the batch leader
+    /// converts the reservation into charges at commit (or releases it on
+    /// failure or cancellation-withdrawal).
+    pending: u64,
+    /// Grants charged (a recovered checkpoint that carries spend counts as
+    /// one).
+    charges: usize,
     /// Request ids holding durable grants (recovered + accepted this run) —
-    /// the skip-set a checkpoint must carry for resume to stay correct.
-    granted: Vec<u64>,
+    /// the skip-set a checkpoint must carry for resume to stay correct. A
+    /// B-tree rather than a hash set: ids arrive mostly increasing, so an
+    /// insert walks a cache-hot rightmost path however many ids are held
+    /// (a hash table of 10⁶ ids outgrows the cache and rehashes them all
+    /// at once), and checkpoints and [`SharedAccountant::granted_ids`] get
+    /// sorted order without a sort.
+    granted: BTreeSet<u64>,
+    /// Every grant of an id `granted` already held.
+    duplicates: Vec<u64>,
+    sink: Option<LedgerWriter>,
     /// Grants appended since the last checkpoint (or since recovery).
     appends_since_checkpoint: u64,
     /// Checkpoint after this many appends (`None`: never automatically).
     checkpoint_every: Option<u64>,
-    /// ε admitted to the group-commit queue but not yet charged. Admission
-    /// reserves against the cap under this same lock, so concurrent
-    /// enqueuers cannot jointly breach it; the batch leader converts the
-    /// reservation into real charges at commit (or releases it on failure
-    /// or cancellation-withdrawal).
-    pending_eps: f64,
     stats: LedgerStats,
 }
 
 impl Ledgered {
+    /// Admission: whether `units` more fit alongside everything spent and
+    /// reserved. Exact: an uncapped shard's cap is the largest `u64`.
+    fn admit(&self, units: u64) -> Result<(), DpError> {
+        let cap = self.cap.unwrap_or(u64::MAX);
+        let total = self
+            .spent
+            .checked_add(self.pending)
+            .and_then(|t| t.checked_add(units));
+        match total {
+            Some(total) if total <= cap => Ok(()),
+            _ => Err(DpError::BudgetExceeded {
+                spent: units_epsilon(self.spent),
+                requested: units_epsilon(units),
+                cap: units_epsilon(cap),
+            }),
+        }
+    }
+
+    /// Records an admitted grant. Admission checked that `spent + pending`
+    /// plus these units fits in a `u64`, so the sum cannot overflow.
+    fn record(&mut self, request_id: u64, units: u64) {
+        self.spent += units;
+        self.charges += 1;
+        if request_id != NO_REQUEST && !self.granted.insert(request_id) {
+            self.duplicates.push(request_id);
+        }
+    }
+
     /// Compacts the attached WAL to `magic + checkpoint` capturing the
-    /// current accountant state. A compaction failure is recorded in the
+    /// current total and granted ids (sorted, duplicates repeated, so equal
+    /// states write equal bytes). A compaction failure is recorded in the
     /// stats but does not propagate: the pre-checkpoint WAL still holds the
     /// full history, so nothing is lost — the log just stays long.
     fn checkpoint(&mut self) {
-        let record = self.acc.checkpoint_record(&self.granted);
+        let mut granted: Vec<u64> = self.granted.iter().copied().collect();
+        if !self.duplicates.is_empty() {
+            granted.extend(&self.duplicates);
+            granted.sort_unstable();
+        }
+        let record = CheckpointRecord {
+            spent_units: self.spent,
+            granted,
+        };
         if let Some(sink) = self.sink.as_mut() {
             match sink.checkpoint(&record) {
                 Ok(()) => {
@@ -492,27 +475,12 @@ impl Ledgered {
             }
         }
     }
-
-    /// Cap check that also counts ε reserved in the group-commit queue:
-    /// whatever is pending will be charged, so new admissions must fit
-    /// alongside it. Identical to the plain check when nothing is pending.
-    fn check_cap(&self, extra: f64) -> Result<(), DpError> {
-        self.acc.check_cap(self.pending_eps + extra)
-    }
 }
 
 /// Most grants one group commit appends under a single fsync. The leader
 /// never waits for followers: a batch is whatever queued while the previous
 /// commit was in flight, capped here so one fsync's latency stays bounded.
 const MAX_GRANT_BATCH: usize = 64;
-
-/// A grant admitted to the group-commit queue, awaiting its batch.
-#[derive(Debug)]
-struct PendingGrant {
-    request_id: u64,
-    label: String,
-    eps: f64,
-}
 
 /// Observability counters for a [`SharedAccountant`]'s durable ledger: what
 /// recovery had to do, and what the checkpoint policy has done since. All
@@ -536,23 +504,55 @@ pub struct LedgerStats {
     /// Checkpoint attempts that failed (the WAL keeps its full history; the
     /// failure costs log length, never ε).
     pub checkpoint_failures: u64,
-    /// Grant records made durable by this accountant (any append path).
+    /// Grant records made durable by this accountant.
     pub grants_appended: u64,
-    /// Fsynced append batches (one per group commit, one per parallel
-    /// spend), so `grants_appended / append_batches` is the grants-per-fsync
+    /// Fsynced append batches (one per group commit), so
+    /// `grants_appended / append_batches` is the grants-per-fsync
     /// amortization factor (checkpoint compactions excluded — they are
     /// policy, not spend).
     pub append_batches: u64,
 }
 
-/// See the type-level docs above; this is the shared, lockable shell.
+/// A thread-safe ε shard: many requests spending from one dataset's budget,
+/// with **check-and-spend as a single atomic operation**.
+///
+/// Concurrency turns the cap check into a privacy hazard: two requests that
+/// each observe `remaining ≥ ε` and *then* record their charge can together
+/// push the total past the cap — a classic TOCTOU race that silently breaks
+/// the ε-DP guarantee (the composition theorem bounds the *actual* total
+/// spend, not what each racer believed it to be). Here every
+/// [`try_spend`](SharedAccountant::try_spend) holds the shard lock across
+/// both the cap check and the recording (with a durable sink: the
+/// reservation the commit later turns into a charge), so there is no window
+/// in which a second spender can sneak past a stale check: the sum of all
+/// accepted grants can never exceed the cap, for any interleaving.
+///
+/// The shard keeps a running total, not a history: the spent and reserved ε
+/// as integer units (see [`epsilon_units`]), a grant counter, and the set of
+/// request ids holding grants. A grant and a cap check therefore cost the
+/// same however many grants came before, and the cap check is an exact
+/// integer `<=`. Grants compose sequentially; parallel composition is the
+/// per-request [`Accountant`]'s business.
+///
+/// # Durability
+///
+/// An optional write-ahead sink (see [`crate::ledger`]) can be attached, after
+/// which every accepted spend follows the WAL rule *reserve against the cap →
+/// append+fsync → record in memory*. The reservation is taken under the one
+/// lock; the append and the in-memory charge happen together under it again,
+/// in a batch of up to 64 queued grants committed with one fsync (group
+/// commit, see [`SharedAccountant::try_spend_grant_cancellable`]). A spend
+/// only reports success once its grant is on stable storage, so a
+/// crash at any instant leaves the durable record a superset of every spend
+/// any caller ever saw accepted — the restart can only over-count
+/// (privacy-safe), never forget.
 #[derive(Debug, Default)]
 pub struct SharedAccountant {
     inner: std::sync::Mutex<Ledgered>,
     /// Leader/follower queue for durable grant spends (see
     /// [`SharedAccountant::try_spend_grant_cancellable`]). Idle without a
     /// sink.
-    batcher: Batcher<PendingGrant, Result<(), DpError>>,
+    batcher: Batcher<GrantRecord, Result<(), DpError>>,
 }
 
 impl SharedAccountant {
@@ -561,18 +561,12 @@ impl SharedAccountant {
         Self::default()
     }
 
-    /// A shared accountant that atomically rejects charges once the total
-    /// would exceed `cap`.
+    /// A shared accountant that atomically rejects grants once the total
+    /// would exceed `cap` (converted to units like a grant).
     pub fn with_cap(cap: Epsilon) -> Self {
-        Self::from_accountant(Accountant::with_cap(cap))
-    }
-
-    /// Wraps an existing ledger (e.g. to continue a session's accounting
-    /// across threads).
-    pub fn from_accountant(accountant: Accountant) -> Self {
         SharedAccountant {
             inner: std::sync::Mutex::new(Ledgered {
-                acc: accountant,
+                cap: Some(cap_units(cap)),
                 ..Ledgered::default()
             }),
             batcher: Batcher::new(),
@@ -585,59 +579,40 @@ impl SharedAccountant {
     /// accounting must never err in. A recovered spend at or above the cap
     /// leaves zero headroom; it does not fail recovery.
     ///
-    /// Replay is composition-aware and bit-exact: a head checkpoint seeds
-    /// the sequential fold with the snapshotted partial sum and recreates
-    /// each parallel group at its snapshotted maximum (in creation order);
-    /// tail grants then replay through the same update rules the live path
-    /// uses, so the rebuilt [`SharedAccountant::spent`] equals the
-    /// pre-crash in-memory value to the last bit — the *tight*
-    /// max-per-group bound, not the old conservative flat sum.
+    /// Replay is exact: a head checkpoint seeds the total with its units and
+    /// the granted set with its ids, and tail grants add their recorded
+    /// units, so the rebuilt [`SharedAccountant::spent`] equals the
+    /// pre-crash value to the last unit.
     pub fn recovered(cap: Option<Epsilon>, writer: LedgerWriter, recovery: &Recovery) -> Self {
-        let mut acc = match cap {
-            Some(cap) => Accountant::with_cap(cap),
-            None => Accountant::new(),
+        // One sort of every recovered id finds the duplicates as adjacent
+        // pairs and lets the set bulk-build from sorted input.
+        let mut ids: Vec<u64> = recovery.granted_ids().collect();
+        ids.sort_unstable();
+        let duplicates = ids
+            .windows(2)
+            .filter(|pair| pair[0] == pair[1])
+            .map(|pair| pair[0])
+            .collect();
+        let ckpt_spent = recovery.checkpoint.as_ref().map_or(0, |c| c.spent_units);
+        let inner = Ledgered {
+            cap: cap.map(cap_units),
+            spent: recovery.spent_units(),
+            charges: usize::from(ckpt_spent > 0) + recovery.grants.len(),
+            granted: ids.into_iter().collect(),
+            duplicates,
+            sink: Some(writer),
+            appends_since_checkpoint: recovery.checkpoint_age(),
+            stats: LedgerStats {
+                records_replayed: recovery.records_replayed(),
+                truncated_bytes: recovery.truncated_bytes,
+                recovered_from_checkpoint: recovery.checkpoint.is_some(),
+                checkpoint_age_at_recovery: recovery.checkpoint_age(),
+                ..LedgerStats::default()
+            },
+            ..Ledgered::default()
         };
-        let mut granted = Vec::new();
-        if let Some(ckpt) = &recovery.checkpoint {
-            if ckpt.seq_spent > 0.0 {
-                acc.charge_replayed("ledger/checkpoint", ckpt.seq_spent);
-            }
-            for group in &ckpt.groups {
-                acc.charge_replayed_parallel(
-                    group.name.clone(),
-                    "ledger/checkpoint".to_string(),
-                    group.max,
-                );
-            }
-            granted.extend_from_slice(&ckpt.granted);
-        }
-        for grant in &recovery.grants {
-            match &grant.group {
-                None => acc.charge_replayed(grant.label.clone(), grant.epsilon),
-                Some(group) => {
-                    acc.charge_replayed_parallel(group.clone(), grant.label.clone(), grant.epsilon)
-                }
-            }
-            if grant.request_id != NO_REQUEST {
-                granted.push(grant.request_id);
-            }
-        }
         SharedAccountant {
-            inner: std::sync::Mutex::new(Ledgered {
-                acc,
-                sink: Some(writer),
-                granted,
-                appends_since_checkpoint: recovery.checkpoint_age(),
-                checkpoint_every: None,
-                pending_eps: 0.0,
-                stats: LedgerStats {
-                    records_replayed: recovery.records_replayed(),
-                    truncated_bytes: recovery.truncated_bytes,
-                    recovered_from_checkpoint: recovery.checkpoint.is_some(),
-                    checkpoint_age_at_recovery: recovery.checkpoint_age(),
-                    ..LedgerStats::default()
-                },
-            }),
+            inner: std::sync::Mutex::new(inner),
             batcher: Batcher::new(),
         }
     }
@@ -653,21 +628,21 @@ impl SharedAccountant {
         self.lock().sink.is_some()
     }
 
-    /// Every [`Accountant`] mutation is a cap check followed by append-only
-    /// recording with no panicking operation in between, so the ledger is
-    /// consistent even if a holder's thread panicked elsewhere between
-    /// operations; recovering from poisoning is therefore sound, and keeps
-    /// one crashed worker from wedging every other session's budget.
+    /// Every mutation is an admission check followed by integer updates with
+    /// no panicking operation in between, so the state is consistent even if
+    /// a holder's thread panicked elsewhere between operations; recovering
+    /// from poisoning is therefore sound, and keeps one crashed worker from
+    /// wedging every other session's budget.
     fn lock(&self) -> std::sync::MutexGuard<'_, Ledgered> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Atomically checks the cap **and** records a sequential charge: either
-    /// the charge is accepted and fully recorded in the ledger, or nothing is
-    /// recorded and [`DpError::BudgetExceeded`] is returned. No interleaving
-    /// of concurrent `try_spend` calls can overdraw the cap.
+    /// Atomically checks the cap **and** records a grant: either the grant
+    /// is accepted and fully recorded, or nothing is recorded and
+    /// [`DpError::BudgetExceeded`] is returned. No interleaving of concurrent
+    /// `try_spend` calls can overdraw the cap.
     ///
     /// With a durable sink attached the grant is recorded under
     /// [`NO_REQUEST`]; spends that belong to a serving request should use
@@ -695,17 +670,17 @@ impl SharedAccountant {
     ///
     /// The token is consulted **before any ε is reserved**: an
     /// already-cancelled token (e.g. an expired deadline) returns
-    /// [`DpError::Cancelled`] having spent nothing. Without a sink the spend
-    /// is a cap check and an in-memory charge under the lock. With one, the
-    /// spend is *admitted* (its ε reserved against the cap under the
-    /// accountant lock — concurrent admissions cannot jointly breach it) and
-    /// enqueued; the first enqueuer to find no commit in flight becomes the
-    /// batch leader and, without waiting for anyone, commits up to 64 queued
+    /// [`DpError::Cancelled`] having spent nothing. An ε outside the unit
+    /// range is [`DpError::EpsilonOutOfRange`], also having spent nothing.
+    /// Without a sink the spend is a cap check and an in-memory charge
+    /// under the lock; the label is not kept. With one, the spend is
+    /// *admitted* (its units reserved against the cap under the accountant
+    /// lock — concurrent admissions cannot jointly breach it) and enqueued;
+    /// the first enqueuer to find no commit in flight becomes the batch
+    /// leader and, without waiting for anyone, commits up to 64 queued
     /// grants with **one** append+fsync. Every spend returns only after its
     /// own record is durable — success implies durable, and a failed fsync
-    /// rejects every spend of its batch with [`DpError::LedgerWrite`] — and
-    /// the batch is charged in memory in exactly the order it sits in the
-    /// file, keeping recovery bit-exact.
+    /// rejects every spend of its batch with [`DpError::LedgerWrite`].
     ///
     /// A token that cancels while the grant is still **queued** withdraws it
     /// (reservation released, nothing spent). Once the leader has drained the
@@ -723,170 +698,105 @@ impl SharedAccountant {
         if let Some(reason) = cancel.and_then(CancelToken::cancel_reason) {
             return Err(DpError::Cancelled { reason });
         }
-        let label = label.into();
+        let units = epsilon_units(eps.get())?;
         // Admission: reserve against the cap under the accountant lock, then
         // release it before queueing so the leader can take it for the commit.
         {
             let mut inner = self.lock();
-            inner.check_cap(eps.get())?;
+            inner.admit(units)?;
             if inner.sink.is_none() {
-                inner.acc.charge(label, eps)?;
-                if request_id != NO_REQUEST {
-                    inner.granted.push(request_id);
-                }
+                inner.record(request_id, units);
                 return Ok(());
             }
-            inner.pending_eps += eps.get();
+            inner.pending += units;
         }
-        let pending = PendingGrant {
+        let grant = GrantRecord {
             request_id,
-            label,
-            eps: eps.get(),
+            units,
+            label: label.into(),
         };
         match self
             .batcher
-            .submit(pending, MAX_GRANT_BATCH, cancel, |batch| {
+            .submit(grant, MAX_GRANT_BATCH, cancel, |batch| {
                 self.commit_batch(batch)
             }) {
             Submit::Done(result) => result,
             Submit::Cancelled { item, reason } => {
                 // Withdrawn before the leader drained it: release the
                 // reservation — nothing was appended, nothing spent.
-                let mut inner = self.lock();
-                inner.pending_eps = (inner.pending_eps - item.eps).max(0.0);
-                drop(inner);
+                self.lock().pending -= item.units;
                 Err(DpError::Cancelled { reason })
             }
         }
     }
 
     /// The batch leader's commit: one append+fsync for the whole batch, then
-    /// in-memory charges in file order. Runs under the accountant lock, so
-    /// checkpoints and parallel spends serialize against it.
-    fn commit_batch(&self, batch: Vec<PendingGrant>) -> Vec<Result<(), DpError>> {
+    /// in-memory charges. Runs under the accountant lock, so checkpoints
+    /// serialize against it.
+    fn commit_batch(&self, batch: Vec<GrantRecord>) -> Vec<Result<(), DpError>> {
         let mut inner = self.lock();
-        let total: f64 = batch.iter().map(|g| g.eps).sum();
-        let records: Vec<GrantRecord> = batch
-            .iter()
-            .map(|g| GrantRecord {
-                request_id: g.request_id,
-                epsilon: g.eps,
-                label: g.label.clone(),
-                group: None,
-            })
-            .collect();
         faultpoint::hit(SHARD_PRE_APPEND);
         // Admission only enqueues with a sink, and a sink is never detached.
         let append = inner
             .sink
             .as_mut()
             .expect("queued grants imply a sink")
-            .append_all(&records)
-            .map_err(|e| e.to_string());
+            .append_all(&batch);
         // The reservation resolves either way: into charges on success,
-        // released on failure.
-        inner.pending_eps = (inner.pending_eps - total).max(0.0);
+        // released on failure. Admission bounded the reserved sum.
+        inner.pending -= batch.iter().map(|g| g.units).sum::<u64>();
         match append {
-            Err(message) => batch
-                .iter()
-                .map(|_| {
-                    Err(DpError::LedgerWrite {
-                        message: message.clone(),
+            Err(e) => {
+                let message = e.to_string();
+                batch
+                    .iter()
+                    .map(|_| {
+                        Err(DpError::LedgerWrite {
+                            message: message.clone(),
+                        })
                     })
-                })
-                .collect(),
+                    .collect()
+            }
             Ok(()) => {
-                let n = records.len() as u64;
-                for grant in batch {
-                    // Cap-bypassing charge: the record is already durable,
-                    // and a durable grant must be counted unconditionally —
-                    // admission did the cap check, and replay would count it.
-                    inner.acc.charge_replayed(grant.label, grant.eps);
-                    if grant.request_id != NO_REQUEST {
-                        inner.granted.push(grant.request_id);
-                    }
+                // Cap-bypassing record: the grant is already durable, and a
+                // durable grant must be counted unconditionally — admission
+                // did the cap check, and replay would count it.
+                for grant in &batch {
+                    inner.record(grant.request_id, grant.units);
                 }
-                inner.note_batch(n);
-                (0..n).map(|_| Ok(())).collect()
+                inner.note_batch(batch.len() as u64);
+                batch.iter().map(|_| Ok(())).collect()
             }
         }
     }
 
-    /// Atomic parallel-composition variant of
-    /// [`try_spend`](Self::try_spend): see [`Accountant::charge_parallel`].
-    ///
-    /// With a durable sink attached the grant is logged at its full ε
-    /// *tagged with its group*, so replay applies the same max-per-group
-    /// rule the in-memory ledger does — the recovered spend is the tight
-    /// parallel-composition bound, bit-exact with the live one, not the old
-    /// conservative flat sum.
-    pub fn try_spend_parallel(
-        &self,
-        group: impl Into<String>,
-        member: impl Into<String>,
-        eps: Epsilon,
-    ) -> Result<(), DpError> {
-        let group = group.into();
-        let member = member.into();
-        let mut inner = self.lock();
-        if inner.sink.is_some() {
-            // Pre-check the *increment* (what charge_parallel will charge)
-            // so the grant is never appended for a spend the cap rejects.
-            let extra = match inner.acc.parallel_group_max(&group) {
-                Some(max) => (eps.get() - max).max(0.0),
-                None => eps.get(),
-            };
-            inner.check_cap(extra)?;
-            faultpoint::hit(SHARD_PRE_APPEND);
-            let grant = GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: eps.get(),
-                label: format!("{group}/{member}"),
-                group: Some(group.clone()),
-            };
-            let sink = inner.sink.as_mut().expect("checked above");
-            sink.append(&grant).map_err(|e| DpError::LedgerWrite {
-                message: e.to_string(),
-            })?;
-        }
-        inner.acc.charge_parallel(group, member, eps)?;
-        if inner.sink.is_some() {
-            inner.note_batch(1);
-        }
-        Ok(())
-    }
-
-    /// Total ε spent so far.
+    /// Total ε spent so far (exact units, rendered as `f64`).
     pub fn spent(&self) -> f64 {
-        self.lock().acc.spent()
+        units_epsilon(self.lock().spent)
     }
 
     /// Headroom under the cap, clamped at zero (`None` when uncapped).
     pub fn remaining(&self) -> Option<f64> {
-        self.lock().acc.remaining()
+        let inner = self.lock();
+        inner
+            .cap
+            .map(|cap| units_epsilon(cap.saturating_sub(inner.spent)))
     }
 
-    /// The configured cap, if any.
+    /// The configured cap, if any (in whole units, rendered as `f64`).
     pub fn cap(&self) -> Option<f64> {
-        self.lock().acc.cap()
+        self.lock().cap.map(units_epsilon)
     }
 
-    /// Number of individual charges recorded.
+    /// Number of grants charged.
     pub fn num_charges(&self) -> usize {
-        self.lock().acc.num_charges()
-    }
-
-    /// A point-in-time clone of the inner ledger (audit trails, delta
-    /// queries). The clone is consistent: it can never show a charge whose
-    /// cap check had not already passed.
-    pub fn snapshot(&self) -> Accountant {
-        self.lock().acc.clone()
+        self.lock().charges
     }
 
     /// Request ids holding grants (recovered from the ledger plus accepted
-    /// this run) — the resume skip-set.
+    /// this run), sorted — the resume skip-set.
     pub fn granted_ids(&self) -> Vec<u64> {
-        self.lock().granted.clone()
+        self.lock().granted.iter().copied().collect()
     }
 
     /// Point-in-time ledger observability counters (see [`LedgerStats`]).
@@ -925,32 +835,22 @@ impl SharedAccountant {
         Ok(())
     }
 
-    /// Renders the audit trail of the spend so far.
-    pub fn audit(&self) -> String {
-        self.lock().acc.audit()
-    }
-
     /// A consistency probe of the accountant, read under **one** critical
     /// section — the adversarial harness's view. Reading `spent()` and
     /// `granted_ids()` as two calls can pair a spend total with the grant
-    /// list of a different instant and report a phantom violation; the probe
+    /// set of a different instant and report a phantom violation; the probe
     /// can't.
     pub fn probe(&self) -> AccountantProbe {
         let inner = self.lock();
-        let mut sorted = inner.granted.clone();
-        sorted.sort_unstable();
-        let mut duplicate_grant_ids: Vec<u64> = sorted
-            .windows(2)
-            .filter(|w| w[0] == w[1])
-            .map(|w| w[0])
-            .collect();
+        let mut duplicate_grant_ids = inner.duplicates.clone();
+        duplicate_grant_ids.sort_unstable();
         duplicate_grant_ids.dedup();
         AccountantProbe {
-            spent: inner.acc.spent(),
-            cap: inner.acc.cap(),
-            pending_eps: inner.pending_eps,
-            num_charges: inner.acc.num_charges(),
-            grants: inner.granted.len(),
+            spent_units: inner.spent,
+            cap_units: inner.cap,
+            pending_units: inner.pending,
+            num_charges: inner.charges,
+            grants: inner.granted.len() + inner.duplicates.len(),
             duplicate_grant_ids,
         }
     }
@@ -962,13 +862,13 @@ impl SharedAccountant {
 /// non-empty result is a privacy-accounting bug, not load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccountantProbe {
-    /// Total ε charged.
-    pub spent: f64,
-    /// The configured cap, if any.
-    pub cap: Option<f64>,
-    /// ε reserved in the group-commit queue but not yet charged.
-    pub pending_eps: f64,
-    /// Individual charges recorded.
+    /// Units charged.
+    pub spent_units: u64,
+    /// The configured cap in units, if any.
+    pub cap_units: Option<u64>,
+    /// Units reserved in the group-commit queue but not yet charged.
+    pub pending_units: u64,
+    /// Grants charged.
     pub num_charges: usize,
     /// Request-id grants recorded (recovered + this run).
     pub grants: usize,
@@ -979,13 +879,14 @@ pub struct AccountantProbe {
 }
 
 impl AccountantProbe {
-    /// Whether the recorded spend (plus queued reservations) breaches the
-    /// cap, beyond the accountant's own float tolerance.
+    /// Whether the recorded spend plus queued reservations exceeds the cap —
+    /// the admission rule's exact integer comparison.
     pub fn cap_exceeded(&self) -> bool {
-        match self.cap {
-            Some(cap) => self.spent + self.pending_eps > cap * (1.0 + 1e-9),
-            None => false,
-        }
+        self.cap_units.is_some_and(|cap| {
+            self.spent_units
+                .checked_add(self.pending_units)
+                .is_none_or(|total| total > cap)
+        })
     }
 
     /// Every invariant this snapshot violates, rendered for a failure
@@ -995,20 +896,14 @@ impl AccountantProbe {
         let mut out = Vec::new();
         if self.cap_exceeded() {
             out.push(format!(
-                "cap exceeded: spent {} + pending {} > cap {:?}",
-                self.spent, self.pending_eps, self.cap
+                "cap exceeded: spent {} + pending {} > cap {:?} (units of 1e-12 ε)",
+                self.spent_units, self.pending_units, self.cap_units
             ));
         }
         if !self.duplicate_grant_ids.is_empty() {
             out.push(format!(
                 "duplicate WAL grants for request ids {:?}",
                 self.duplicate_grant_ids
-            ));
-        }
-        if self.spent < 0.0 || self.pending_eps < 0.0 {
-            out.push(format!(
-                "negative accounting: spent {} pending {}",
-                self.spent, self.pending_eps
             ));
         }
         out
@@ -1157,22 +1052,7 @@ mod tests {
         let n = accepted.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(n, 5, "cap 0.5 admits exactly five 0.1 spends");
         assert_eq!(acc.num_charges(), n);
-        assert!((acc.spent() - 0.5).abs() < 1e-9);
-        assert!(acc.audit().contains("total"));
-    }
-
-    #[test]
-    fn shared_accountant_snapshot_is_consistent() {
-        let acc = SharedAccountant::new();
-        acc.try_spend("a", Epsilon::new(0.1).unwrap()).unwrap();
-        acc.try_spend_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
-            .unwrap();
-        let ledger = acc.snapshot();
-        assert!((ledger.spent() - 0.17).abs() < 1e-12);
-        assert_eq!(ledger.num_charges(), 3);
-        assert_eq!(acc.num_charges(), 3);
+        assert_eq!(acc.spent(), 0.5);
     }
 
     #[test]
@@ -1183,8 +1063,91 @@ mod tests {
             .try_spend("overdraws", Epsilon::new(0.15).unwrap())
             .unwrap_err();
         assert!(matches!(err, DpError::BudgetExceeded { .. }));
+        // ε a shard cannot count exactly is refused before the cap check.
+        for eps in [1e-13, 2e7, f64::MAX] {
+            let err = acc.try_spend("unaccountable", Epsilon::new(eps).unwrap());
+            assert_eq!(err, Err(DpError::EpsilonOutOfRange(eps)));
+        }
         assert_eq!(acc.num_charges(), 1);
-        assert!((acc.spent() - 0.15).abs() < 1e-12);
+        assert_eq!(acc.spent(), 0.15);
+        assert_eq!(acc.probe().pending_units, 0);
+    }
+
+    #[test]
+    fn epsilon_units_round_to_nearest_and_convert_decimals_exactly() {
+        for k in 1..=200_000u64 {
+            let eps = k as f64 / 20_000.0;
+            assert_eq!(epsilon_units(eps), Ok(k * 50_000_000), "ε = {eps}");
+        }
+        // The f64 sum 0.30000000000000004 rounds to the unit sum 3·10¹¹.
+        assert_eq!(epsilon_units(0.1 + 0.1 + 0.1), Ok(300_000_000_000));
+        assert_eq!(epsilon_units(4e-13), Err(DpError::EpsilonOutOfRange(4e-13)));
+        assert_eq!(epsilon_units(6e-13), Ok(1));
+        assert!(epsilon_units(1.8e7).is_ok());
+        assert!(epsilon_units(1.9e7).is_err());
+        assert!(epsilon_units(f64::NAN).is_err());
+        assert_eq!(units_epsilon(500_000_000_000), 0.5);
+    }
+
+    #[test]
+    fn spend_landing_exactly_on_the_cap_is_admitted_and_one_unit_more_is_not() {
+        // Three 0.1 grants fill a 0.3 cap, although 0.1 + 0.1 + 0.1 > 0.3 in
+        // f64: the gate compares integer units.
+        let acc = SharedAccountant::with_cap(Epsilon::new(0.3).unwrap());
+        for i in 0..3 {
+            acc.try_spend(format!("g{i}"), Epsilon::new(0.1).unwrap())
+                .unwrap();
+        }
+        assert_eq!(acc.remaining(), Some(0.0));
+        let probe = acc.probe();
+        assert_eq!(probe.spent_units, probe.cap_units.unwrap());
+        assert!(!probe.cap_exceeded(), "on the cap is within it");
+        assert!(probe.violations().is_empty());
+        let one_unit = Epsilon::new(units_epsilon(1)).unwrap();
+        assert!(matches!(
+            acc.try_spend("one unit more", one_unit),
+            Err(DpError::BudgetExceeded { .. })
+        ));
+        // The probe applies the gate's rule: one unit past the cap, in spend
+        // or in reservation, is a violation.
+        let over = AccountantProbe {
+            spent_units: probe.spent_units + 1,
+            ..probe.clone()
+        };
+        assert!(over.cap_exceeded());
+        assert!(over.violations()[0].contains("cap exceeded"));
+        let reserved = AccountantProbe {
+            pending_units: 1,
+            ..probe
+        };
+        assert!(reserved.cap_exceeded());
+    }
+
+    #[test]
+    fn recovered_duplicate_grant_is_reported_by_the_probe() {
+        let path = wal_path("duplicate.wal");
+        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
+        let units = epsilon_units(0.1).unwrap();
+        for id in [5, 6, 5] {
+            writer.append(&GrantRecord::for_request(id, units)).unwrap();
+        }
+        drop(writer);
+        for generation in 0..2 {
+            let (writer, recovery) = LedgerWriter::open(&path).unwrap();
+            let acc = SharedAccountant::recovered(None, writer, &recovery);
+            let probe = acc.probe();
+            assert_eq!(
+                probe.duplicate_grant_ids,
+                vec![5],
+                "generation {generation}"
+            );
+            assert_eq!(probe.grants, 3);
+            assert!(probe.violations()[0].contains("duplicate"));
+            assert_eq!(acc.granted_ids(), vec![5, 6]);
+            // A checkpoint keeps the duplicate, so the next recovery still
+            // reports it.
+            acc.checkpoint_now().unwrap();
+        }
     }
 
     #[test]
@@ -1253,10 +1216,7 @@ mod tests {
 
     #[test]
     fn durable_spends_survive_recovery_and_skip_by_request_id() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("durable.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = wal_path("durable.wal");
 
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert!(recovery.grants.is_empty());
@@ -1295,91 +1255,43 @@ mod tests {
 
     #[test]
     fn replay_bypasses_cap_but_blocks_new_spends() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("overcap.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = wal_path("overcap.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.4)).unwrap();
-        writer.append(&GrantRecord::for_request(2, 0.4)).unwrap();
+        let units = epsilon_units(0.4).unwrap();
+        writer.append(&GrantRecord::for_request(1, units)).unwrap();
+        writer.append(&GrantRecord::for_request(2, units)).unwrap();
         drop(writer);
 
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         // Recovered spend 0.8 exceeds the 0.5 cap: replay must not fail, but
         // headroom is zero and any new spend is rejected.
         let acc = SharedAccountant::recovered(Some(Epsilon::new(0.5).unwrap()), writer, &recovery);
-        assert!((acc.spent() - 0.8).abs() < 1e-12);
+        assert_eq!(acc.spent(), 0.8);
         assert_eq!(acc.remaining(), Some(0.0));
         assert!(acc.try_spend("more", Epsilon::new(0.01).unwrap()).is_err());
     }
 
-    #[test]
-    fn durable_parallel_spends_replay_tight_and_reclaim_epsilon() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("parallel.wal");
-        let _ = std::fs::remove_file(&path);
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        acc.try_spend_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
-            .unwrap();
-        // In memory the group costs max = 0.07.
-        assert!((acc.spent() - 0.07).abs() < 1e-12);
-        let live_bits = acc.spent().to_bits();
-        let live_remaining = acc.remaining().unwrap();
-        drop(acc);
-
-        // The group-tagged log replays the same tight max-per-group bound.
-        let recovery = crate::ledger::recover(&path).unwrap();
-        assert!((recovery.spent() - 0.07).abs() < 1e-12);
-        assert_eq!(recovery.grants[0].label, "hist/c0");
-        assert_eq!(recovery.grants[0].group.as_deref(), Some("hist"));
-
-        // Replaying through an accountant reclaims the ε the old flat rule
-        // (0.05 + 0.07 = 0.12) used to burn: headroom is restored bit-exactly.
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let resumed =
-            SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        assert_eq!(resumed.spent().to_bits(), live_bits);
-        assert_eq!(resumed.remaining().unwrap(), live_remaining);
-        let flat_sum: f64 = recovery.grants.iter().map(|g| g.epsilon).sum();
-        assert!(
-            resumed.spent() < flat_sum,
-            "tight replay {} must beat flat {}",
-            resumed.spent(),
-            flat_sum
-        );
-    }
-
     /// A crash+recover chain through checkpoints reproduces the live
-    /// accountant's spend to the last bit — the acceptance criterion for
-    /// composition-aware replay.
+    /// accountant's spend to the last unit.
     #[test]
     fn checkpointed_recovery_is_bit_exact_with_live_accountant() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bitexact.wal");
-        let _ = std::fs::remove_file(&path);
-
-        // A deliberately round-off-prone spend sequence (0.1 and 0.3 are not
-        // exactly representable) interleaving sequential and grouped spends.
+        let path = wal_path("bitexact.wal");
+        // 0.1 and 0.3 are not exactly representable: their f64 sums drift,
+        // their unit sums do not.
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
-        acc.try_spend_grant(1, "request/1", Epsilon::new(0.1).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("cluster", "c0", Epsilon::new(0.3).unwrap())
-            .unwrap();
-        acc.try_spend_grant(2, "request/2", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        for (id, eps) in [(1, 0.1), (2, 0.3), (3, 0.1)] {
+            acc.try_spend_grant(id, format!("request/{id}"), Epsilon::new(eps).unwrap())
+                .unwrap();
+        }
         acc.checkpoint_now().unwrap();
-        acc.try_spend_parallel("cluster", "c1", Epsilon::new(0.7).unwrap())
+        acc.try_spend("session", Epsilon::new(0.7).unwrap())
             .unwrap();
-        acc.try_spend_parallel("other", "c0", Epsilon::new(0.2).unwrap())
-            .unwrap();
-        acc.try_spend_grant(3, "request/3", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        for (id, eps) in [(4, 0.2), (5, 0.1)] {
+            acc.try_spend_grant(id, format!("request/{id}"), Epsilon::new(eps).unwrap())
+                .unwrap();
+        }
+        assert_eq!(acc.spent(), 1.5);
         let live_bits = acc.spent().to_bits();
         let stats = acc.ledger_stats();
         assert_eq!(stats.checkpoints_written, 1);
@@ -1394,17 +1306,18 @@ mod tests {
         let resumed =
             SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
         assert_eq!(resumed.spent().to_bits(), live_bits, "replayed accountant");
-        let mut ids = resumed.granted_ids();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(resumed.granted_ids(), vec![1, 2, 3, 4, 5]);
 
         // Checkpoint again post-recovery and recover once more: the chain of
-        // checkpoints stays bit-exact.
+        // checkpoints stays exact, and equal states write equal bytes.
         resumed
-            .try_spend_grant(4, "request/4", Epsilon::new(0.1).unwrap())
+            .try_spend_grant(6, "request/6", Epsilon::new(0.1).unwrap())
             .unwrap();
         let live_bits = resumed.spent().to_bits();
         resumed.checkpoint_now().unwrap();
+        let first = std::fs::read(&path).unwrap();
+        resumed.checkpoint_now().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), first, "deterministic bytes");
         drop(resumed);
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert_eq!(recovery.records_replayed(), 1, "fully compacted");
@@ -1415,10 +1328,7 @@ mod tests {
 
     #[test]
     fn auto_checkpoint_policy_compacts_the_wal() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("autockpt.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = wal_path("autockpt.wal");
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
         acc.set_checkpoint_every(Some(3));
@@ -1458,17 +1368,14 @@ mod tests {
     /// the next leader commits them together: a forced batch, with no wait
     /// in the commit path itself.
     fn lead_until_admitted(acc: &SharedAccountant, grants: u64, release: impl FnOnce()) {
-        let placeholder = PendingGrant {
-            request_id: NO_REQUEST,
-            label: String::new(),
-            eps: 0.0,
-        };
+        let placeholder = GrantRecord::for_request(NO_REQUEST, 0);
+        let target = grants * epsilon_units(0.1).unwrap();
         let mut release = Some(release);
         let out = acc
             .batcher
             .submit(placeholder, MAX_GRANT_BATCH, None, |batch| {
                 release.take().expect("the placeholder leads once")();
-                while acc.probe().pending_eps < 0.1 * grants as f64 - 1e-9 {
+                while acc.probe().pending_units < target {
                     std::thread::yield_now();
                 }
                 // Holding leadership is what forces the pile-up; the pause
@@ -1514,9 +1421,7 @@ mod tests {
              (got {} batches for {N} grants)",
             stats.append_batches
         );
-        let mut ids = acc.granted_ids();
-        ids.sort_unstable();
-        assert_eq!(ids, (1..=N).collect::<Vec<u64>>());
+        assert_eq!(acc.granted_ids(), (1..=N).collect::<Vec<u64>>());
         let live_bits = acc.spent().to_bits();
         drop(acc);
 
@@ -1525,9 +1430,7 @@ mod tests {
         let resumed =
             SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
         assert_eq!(resumed.spent().to_bits(), live_bits, "replayed accountant");
-        let mut ids = resumed.granted_ids();
-        ids.sort_unstable();
-        assert_eq!(ids, (1..=N).collect::<Vec<u64>>());
+        assert_eq!(resumed.granted_ids(), (1..=N).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1561,12 +1464,12 @@ mod tests {
             }
         });
         assert_eq!(accepted.load(std::sync::atomic::Ordering::Relaxed), 5);
-        assert!((acc.spent() - 0.5).abs() < 1e-9);
+        assert_eq!(acc.spent(), 0.5);
         assert_eq!(acc.granted_ids().len(), 5);
         drop(acc);
         let recovery = crate::ledger::recover(&path).unwrap();
         assert_eq!(recovery.grants.len(), 5, "rejections append nothing");
-        assert!((recovery.spent() - 0.5).abs() < 1e-9);
+        assert_eq!(recovery.spent(), 0.5);
     }
 
     #[test]
@@ -1599,6 +1502,72 @@ mod tests {
         let stats = acc.ledger_stats();
         assert_eq!(stats.grants_appended, 3);
         assert_eq!(stats.append_batches, 3, "each solo spend is its own batch");
+    }
+
+    #[test]
+    fn cancel_storm_while_queued_leaves_pending_exactly_zero() {
+        // Sixteen spenders queue behind a held commit; half are cancelled
+        // while queued. The withdrawals release their reservations, the rest
+        // commit, and the reserved total returns to exactly zero.
+        const N: u64 = 16;
+        let path = wal_path("cancel-storm.wal");
+        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
+        let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
+        let units = epsilon_units(0.1).unwrap();
+        let tokens: Vec<CancelToken> = (0..N).map(|_| CancelToken::new()).collect();
+        let barrier = std::sync::Barrier::new(N as usize + 1);
+        let cancelled = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for id in 1..=N {
+                let (acc, barrier, cancelled) = (&acc, &barrier, &cancelled);
+                let token = &tokens[id as usize - 1];
+                scope.spawn(move || {
+                    barrier.wait();
+                    match acc.try_spend_grant_cancellable(
+                        id,
+                        format!("request/{id}"),
+                        Epsilon::new(0.1).unwrap(),
+                        Some(token),
+                    ) {
+                        Ok(()) => {}
+                        Err(DpError::Cancelled { .. }) => {
+                            cancelled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                        Err(other) => panic!("unexpected {other:?}"),
+                    }
+                });
+            }
+            let placeholder = GrantRecord::for_request(NO_REQUEST, 0);
+            let out = acc
+                .batcher
+                .submit(placeholder, MAX_GRANT_BATCH, None, |batch| {
+                    barrier.wait();
+                    while acc.probe().pending_units < N * units {
+                        std::thread::yield_now();
+                    }
+                    // Every spender is admitted. A cancelled one withdraws
+                    // whether it reached the queue before the cancel or after.
+                    for token in tokens.iter().step_by(2) {
+                        token.cancel("storm");
+                    }
+                    while acc.probe().pending_units > N / 2 * units {
+                        std::thread::yield_now();
+                    }
+                    batch.iter().map(|_| Ok(())).collect()
+                });
+            assert!(matches!(out, Submit::Done(Ok(()))));
+        });
+        assert_eq!(cancelled.into_inner(), N / 2);
+        let probe = acc.probe();
+        assert_eq!(probe.pending_units, 0, "every reservation resolved");
+        assert_eq!(probe.spent_units, N / 2 * units);
+        assert_eq!(acc.num_charges(), N as usize / 2);
+        drop(acc);
+        assert_eq!(
+            crate::ledger::recover(&path).unwrap().grants.len(),
+            N as usize / 2,
+            "withdrawn grants were never appended"
+        );
     }
 
     #[test]

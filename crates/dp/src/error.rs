@@ -57,6 +57,10 @@ pub enum DpError {
         /// The underlying ledger failure, rendered.
         message: String,
     },
+    /// An ε grant that a shard cannot account exactly: it rounds to zero
+    /// units of 10⁻¹² ε, or to more units than a `u64` holds. Rounding it up
+    /// or saturating it would misstate the spend, so it is refused.
+    EpsilonOutOfRange(f64),
 }
 
 impl fmt::Display for DpError {
@@ -94,6 +98,10 @@ impl fmt::Display for DpError {
             DpError::LedgerWrite { message } => {
                 write!(f, "budget ledger write failed: {message}")
             }
+            DpError::EpsilonOutOfRange(v) => write!(
+                f,
+                "epsilon {v} is outside the accountable range [5e-13, 1.8e7]"
+            ),
         }
     }
 }
@@ -128,6 +136,8 @@ mod tests {
             message: "disk full".to_string(),
         };
         assert!(e.to_string().contains("disk full"));
+        let e = DpError::EpsilonOutOfRange(1e30);
+        assert!(e.to_string().contains("1000000000000000000000000000000"));
     }
 
     #[test]

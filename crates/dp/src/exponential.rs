@@ -66,21 +66,6 @@ pub fn exponential_mechanism_probabilities(
     Ok(exps.into_iter().map(|e| e / z).collect())
 }
 
-/// The high-probability utility bound of the exponential mechanism
-/// (Theorem 3.11 of Dwork–Roth, quoted as Theorem 2.8 in the paper):
-/// with probability at least `1 − e^{−t}`,
-/// `q(M(D)) ≥ max_r q(D, r) − (2Δ/ε)(ln|R| + t)`.
-///
-/// Returns the additive error term `(2Δ/ε)(ln|R| + t)`.
-pub fn utility_error_bound(
-    eps: Epsilon,
-    sensitivity: Sensitivity,
-    num_candidates: usize,
-    t: f64,
-) -> f64 {
-    (2.0 * sensitivity.get() / eps.get()) * ((num_candidates as f64).ln() + t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,21 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn utility_bound_formula() {
-        let eps = Epsilon::new(0.5).unwrap();
-        let bound = utility_error_bound(eps, Sensitivity::ONE, 10, 1.0);
-        let expected = (2.0 / 0.5) * ((10f64).ln() + 1.0);
-        assert!((bound - expected).abs() < 1e-12);
-    }
-
-    #[test]
     fn utility_bound_holds_empirically() {
         // With t = ln(20) the bound fails with prob ≤ 1/20.
         let mut r = rng();
         let scores: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let eps = Epsilon::new(1.0).unwrap();
         let t = (20.0f64).ln();
-        let bound = utility_error_bound(eps, Sensitivity::ONE, scores.len(), t);
+        // Theorem 3.11 of Dwork–Roth (Theorem 2.8 in the paper): with
+        // probability at least 1 − e^{−t} the utility loss is at most
+        // (2Δ/ε)(ln|R| + t).
+        let bound = (2.0 / eps.get()) * ((scores.len() as f64).ln() + t);
         let n = 20_000;
         let violations = (0..n)
             .filter(|_| {

@@ -85,13 +85,6 @@ pub fn subtract_clamped(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(&x, &y)| (x - y).max(0.0)).collect()
 }
 
-/// Expected maximum absolute bin error of a noisy histogram with `bins` bins
-/// at level `eps`, for the Laplace mechanism:
-/// `E[max_i |η_i|] ≈ (ln(bins) + γ) / ε` (extreme-value asymptotics).
-pub fn expected_max_error(eps: Epsilon, bins: usize) -> f64 {
-    ((bins as f64).ln() + crate::gumbel::EULER_GAMMA) / eps.get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,14 +179,6 @@ mod tests {
         let loose = err(0.05, &mut r);
         let tight = err(5.0, &mut r);
         assert!(loose > 10.0 * tight, "loose {loose} vs tight {tight}");
-    }
-
-    #[test]
-    fn expected_max_error_grows_with_bins_and_shrinks_with_eps() {
-        let e1 = Epsilon::new(1.0).unwrap();
-        let e2 = Epsilon::new(2.0).unwrap();
-        assert!(expected_max_error(e1, 100) > expected_max_error(e1, 10));
-        assert!(expected_max_error(e1, 10) > expected_max_error(e2, 10));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The Laplace distribution and the Laplace mechanism (Dwork et al. 2006).
+//! The Laplace distribution and the vector Laplace mechanism (Dwork et al.
+//! 2006).
 
 use crate::budget::{Epsilon, Sensitivity};
 use rand::Rng;
@@ -21,19 +22,6 @@ pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
-/// The Laplace mechanism: releases `value + Laplace(Δ/ε)`.
-///
-/// For a query with L1 sensitivity `Δ`, adding Laplace noise of scale `Δ/ε`
-/// satisfies `ε`-DP.
-pub fn laplace_mechanism<R: Rng + ?Sized>(
-    value: f64,
-    eps: Epsilon,
-    sensitivity: Sensitivity,
-    rng: &mut R,
-) -> f64 {
-    value + sample_laplace(sensitivity.get() / eps.get(), rng)
-}
-
 /// Releases a whole vector under the Laplace mechanism where the *vector
 /// query* has L1 sensitivity `Δ` (e.g. a histogram, where adding/removing one
 /// tuple changes a single count by one, so `Δ = 1` for the entire vector).
@@ -48,15 +36,6 @@ pub fn laplace_mechanism_vec<R: Rng + ?Sized>(
         .iter()
         .map(|&v| v + sample_laplace(scale, rng))
         .collect()
-}
-
-/// The `(α, β)`-accuracy of the Laplace mechanism: with probability `1 − β`,
-/// the absolute error is at most the returned value.
-///
-/// `P(|Laplace(b)| > t) = exp(−t/b)`, so `t = b · ln(1/β)`.
-pub fn laplace_error_bound(eps: Epsilon, sensitivity: Sensitivity, beta: f64) -> f64 {
-    assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
-    (sensitivity.get() / eps.get()) * (1.0 / beta).ln()
 }
 
 #[cfg(test)]
@@ -115,8 +94,9 @@ mod tests {
         let eps = Epsilon::new(0.5).unwrap();
         let sens = Sensitivity::new(2.0).unwrap();
         let n = 100_000;
-        let mad = (0..n)
-            .map(|_| (laplace_mechanism(10.0, eps, sens, &mut r) - 10.0).abs())
+        let mad = laplace_mechanism_vec(&vec![10.0; n], eps, sens, &mut r)
+            .iter()
+            .map(|v| (v - 10.0).abs())
             .sum::<f64>()
             / n as f64;
         let expected_b = 2.0 / 0.5;
@@ -139,8 +119,9 @@ mod tests {
     fn error_bound_holds_empirically() {
         let mut r = rng();
         let eps = Epsilon::new(1.0).unwrap();
-        let beta = 0.05;
-        let bound = laplace_error_bound(eps, Sensitivity::ONE, beta);
+        let beta: f64 = 0.05;
+        // P(|Laplace(b)| > t) = exp(−t/b), so t = (Δ/ε) · ln(1/β).
+        let bound = (1.0 / eps.get()) * (1.0 / beta).ln();
         let n = 100_000;
         let violations = (0..n)
             .filter(|_| sample_laplace(1.0, &mut r).abs() > bound)

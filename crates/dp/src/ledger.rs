@@ -10,17 +10,15 @@
 //! on restart the recovered spend is always ≥ the spend that any output was
 //! produced under (over-counting is privacy-safe; forgetting is not).
 //!
-//! # On-disk format (v2)
+//! # On-disk format (v3)
 //!
 //! ```text
 //! file       := magic (checkpoint-record)? grant-record*
-//! magic      := "DPXWAL02"                                 (8 bytes)
+//! magic      := "DPXWAL03"                                 (8 bytes)
 //! record     := len:u32le  hcrc:u32le  payload  pcrc:u32le
 //! payload    := kind:u8  body
-//! grant body := request_id:u64le  epsilon:f64le-bits
-//!               label_len:u32le  label  group_len:u32le  group
-//! ckpt body  := seq_spent:f64le-bits  n_granted:u32le  granted:u64le*
-//!               n_groups:u32le  (name_len:u32le name  max:f64le-bits)*
+//! grant body := request_id:u64le  units:u64le  label_len:u32le  label
+//! ckpt body  := spent_units:u64le  n_granted:u32le  granted:u64le*
 //! ```
 //!
 //! `hcrc` is the CRC-32 of the 4 `len` bytes; `pcrc` is the CRC-32 of the
@@ -37,23 +35,23 @@
 //!   it would forget spent ε — so recovery fails with the typed
 //!   [`LedgerError::Corrupt`].
 //!
-//! Two v2 additions over the original `DPXWAL01` format (no longer read: a
-//! v1 file is refused with [`LedgerError::BadMagic`] and left untouched):
+//! ε is stored as whole **units** of 10⁻¹² ε (see
+//! [`epsilon_units`](crate::budget::epsilon_units)): the shard accountant
+//! charges integers, so replay adds the same integers and never re-rounds.
+//! A grant body carries its request id, its units and its audit label; a
+//! checkpoint body carries the total units spent and the granted request
+//! ids, sorted so a checkpoint of one state is always the same bytes.
+//! Earlier formats are not read: a `DPXWAL01` (flat f64 grants) or
+//! `DPXWAL02` (f64 grants with parallel-composition groups) file is refused
+//! with [`LedgerError::BadMagic`] and left untouched.
 //!
-//! * **Grants carry their parallel-composition group.** A grant charged
-//!   under parallel composition (disjoint input partitions, Proposition 2.1)
-//!   records its group name, so replay reconstructs the *tight*
-//!   max-per-group bound instead of conservatively flat-summing — a real
-//!   refund of ε capacity after a restart.
-//! * **Checkpoints bound replay.** [`LedgerWriter::checkpoint`] atomically
-//!   replaces the log with `magic + one checkpoint record` capturing the
-//!   accountant's bit-exact state (sequential partial sum, per-group maxima
-//!   in group-creation order, and the granted request ids for resume). The
-//!   checkpoint is written to a sibling tmp file, synced, then `rename`d
-//!   over the log — a kill at any instruction leaves either the full
-//!   history or the compacted file, both recovering the exact same spend.
-//!   A checkpoint record is only valid immediately after the magic;
-//!   anywhere else it is typed corruption.
+//! **Checkpoints bound replay.** [`LedgerWriter::checkpoint`] atomically
+//! replaces the log with `magic + one checkpoint record`. The checkpoint is
+//! written to a sibling tmp file, synced, then `rename`d over the log — a
+//! kill at any instruction leaves either the full history or the compacted
+//! file, both recovering the exact same spend. A checkpoint record is only
+//! valid immediately after the magic; anywhere else it is typed
+//! corruption.
 //!
 //! The request-id column exists for resume: a restarted server skips requests
 //! whose ids already hold a grant (their ε is reserved; re-execution is
@@ -67,8 +65,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// The 8-byte file magic of the current format (`DPXWAL02`).
-pub const MAGIC: &[u8; 8] = b"DPXWAL02";
+/// The 8-byte file magic of the current format (`DPXWAL03`).
+pub const MAGIC: &[u8; 8] = b"DPXWAL03";
 
 /// Upper bound on a record's payload length. The writer enforces it, so a
 /// larger length in a file can only be corruption, never a torn write.
@@ -83,56 +81,39 @@ pub const NO_REQUEST: u64 = u64::MAX;
 const KIND_GRANT: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
 
-/// One durable grant: a request id, the ε it reserved, its audit label, and
-/// the parallel-composition group it was charged under (if any).
+/// One durable grant: a request id, the ε units it reserved, and its audit
+/// label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrantRecord {
     /// The serving request this grant belongs to ([`NO_REQUEST`] if none).
     pub request_id: u64,
-    /// ε reserved by the grant (finite, `> 0`).
-    pub epsilon: f64,
+    /// ε reserved by the grant, in units of 10⁻¹² ε (`> 0`).
+    pub units: u64,
     /// Audit label (e.g. `"request/7"`).
     pub label: String,
-    /// Parallel-composition group, or `None` for a sequential charge.
-    /// Replay composes grants of one group by maximum, not by sum.
-    pub group: Option<String>,
 }
 
 impl GrantRecord {
-    /// A sequential grant for serving request `request_id` with the serving
+    /// A grant of `units` for serving request `request_id` with the serving
     /// layer's `request/<id>` label convention.
-    pub fn for_request(request_id: u64, epsilon: f64) -> Self {
+    pub fn for_request(request_id: u64, units: u64) -> Self {
         GrantRecord {
             request_id,
-            epsilon,
+            units,
             label: format!("request/{request_id}"),
-            group: None,
         }
     }
 }
 
-/// The accountant state a checkpoint record captures, bit-exactly.
+/// The shard state a checkpoint record captures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointRecord {
-    /// The sequential-composition partial sum at checkpoint time — the
-    /// *exact* `f64` the live accountant held, so replaying
-    /// `seq_spent + tail…` performs the identical float additions.
-    pub seq_spent: f64,
-    /// Request ids holding durable grants at checkpoint time (the resume
-    /// skip-set; [`NO_REQUEST`] grants are folded into the sums instead).
+    /// Total units spent at checkpoint time.
+    pub spent_units: u64,
+    /// Request ids holding durable grants at checkpoint time, sorted (the
+    /// resume skip-set; [`NO_REQUEST`] grants are folded into the total
+    /// instead). An id granted twice appears twice.
     pub granted: Vec<u64>,
-    /// Per-group running maxima, in group-creation order (the order the
-    /// accountant adds them back up in).
-    pub groups: Vec<GroupSnapshot>,
-}
-
-/// One parallel-composition group's replayed state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSnapshot {
-    /// The group name (a partition id, e.g. `"cluster/3"`).
-    pub name: String,
-    /// The bit-exact running maximum ε charged under the group.
-    pub max: f64,
 }
 
 /// A ledger failure, split by what the operator must do about it.
@@ -209,31 +190,19 @@ impl Recovery {
         }
     }
 
-    /// Replayed spend under the same composition rules the live accountant
-    /// applies: sequential grants sum (continuing the checkpoint's exact
-    /// partial sum), grants of one parallel group compose by maximum, and
-    /// group maxima are added in group-creation order. The result is
-    /// bit-exact with the in-memory `Accountant::spent()` the grants were
-    /// charged on — the replayed bound is *tight*, not conservative.
+    /// Units spent: the checkpoint's total plus every tail grant.
+    /// [`recover`] refuses a file whose total does not fit in a `u64`, so
+    /// the sum is exact.
+    pub fn spent_units(&self) -> u64 {
+        self.grants.iter().fold(
+            self.checkpoint.as_ref().map_or(0, |c| c.spent_units),
+            |sum, g| sum.saturating_add(g.units),
+        )
+    }
+
+    /// ε spent (see [`Recovery::spent_units`]).
     pub fn spent(&self) -> f64 {
-        let mut seq = self.checkpoint.as_ref().map_or(0.0, |c| c.seq_spent);
-        let mut groups: Vec<(&str, f64)> = self.checkpoint.as_ref().map_or_else(Vec::new, |c| {
-            c.groups.iter().map(|g| (g.name.as_str(), g.max)).collect()
-        });
-        for g in &self.grants {
-            match g.group.as_deref() {
-                None => seq += g.epsilon,
-                Some(name) => match groups.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, max)) => {
-                        if g.epsilon > *max {
-                            *max = g.epsilon;
-                        }
-                    }
-                    None => groups.push((name, g.epsilon)),
-                },
-            }
-        }
-        groups.iter().fold(seq, |acc, (_, m)| acc + m)
+        crate::budget::units_epsilon(self.spent_units())
     }
 
     /// Request ids holding durable grants (checkpointed and tail), with
@@ -288,33 +257,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn encode_grant_payload(grant: &GrantRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(29 + grant.label.len());
+    let mut payload = Vec::with_capacity(21 + grant.label.len());
     payload.push(KIND_GRANT);
     payload.extend_from_slice(&grant.request_id.to_le_bytes());
-    payload.extend_from_slice(&grant.epsilon.to_bits().to_le_bytes());
-    push_str(&mut payload, &grant.label);
-    push_str(&mut payload, grant.group.as_deref().unwrap_or(""));
+    payload.extend_from_slice(&grant.units.to_le_bytes());
+    payload.extend_from_slice(&(grant.label.len() as u32).to_le_bytes());
+    payload.extend_from_slice(grant.label.as_bytes());
     payload
 }
 
 fn encode_checkpoint_payload(ckpt: &CheckpointRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(17 + 8 * ckpt.granted.len());
+    let mut payload = Vec::with_capacity(13 + 8 * ckpt.granted.len());
     payload.push(KIND_CHECKPOINT);
-    payload.extend_from_slice(&ckpt.seq_spent.to_bits().to_le_bytes());
+    payload.extend_from_slice(&ckpt.spent_units.to_le_bytes());
     payload.extend_from_slice(&(ckpt.granted.len() as u32).to_le_bytes());
     for id in &ckpt.granted {
         payload.extend_from_slice(&id.to_le_bytes());
-    }
-    payload.extend_from_slice(&(ckpt.groups.len() as u32).to_le_bytes());
-    for group in &ckpt.groups {
-        push_str(&mut payload, &group.name);
-        payload.extend_from_slice(&group.max.to_bits().to_le_bytes());
     }
     payload
 }
@@ -381,10 +340,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn f64(&mut self, what: &str) -> Result<f64, LedgerError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
     fn string(&mut self, what: &str) -> Result<String, LedgerError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
@@ -401,13 +356,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A decoded v2 record.
+/// A decoded record.
 enum Record {
     Grant(GrantRecord),
     Checkpoint(CheckpointRecord),
 }
 
-fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError> {
+fn decode_payload(payload: &[u8], offset: u64) -> Result<Record, LedgerError> {
     let mut cur = Cursor {
         bytes: payload,
         pos: 0,
@@ -416,48 +371,29 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
     match cur.u8("record kind")? {
         KIND_GRANT => {
             let request_id = cur.u64("grant request id")?;
-            let epsilon = cur.f64("grant epsilon")?;
+            let units = cur.u64("grant units")?;
             let label = cur.string("grant label")?;
-            let group = cur.string("grant group")?;
             cur.finish()?;
-            if !(epsilon.is_finite() && epsilon > 0.0) {
-                return Err(cur.corrupt("grant epsilon is not finite and positive"));
+            if units == 0 {
+                return Err(cur.corrupt("grant units are zero"));
             }
             Ok(Record::Grant(GrantRecord {
                 request_id,
-                epsilon,
+                units,
                 label,
-                group: if group.is_empty() { None } else { Some(group) },
             }))
         }
         KIND_CHECKPOINT => {
-            let seq_spent = cur.f64("checkpoint sequential sum")?;
-            if !(seq_spent.is_finite() && seq_spent >= 0.0) {
-                return Err(cur.corrupt("checkpoint sequential sum is not finite and >= 0"));
-            }
+            let spent_units = cur.u64("checkpoint spent units")?;
             let n_granted = cur.u32("checkpoint grant count")?;
             let mut granted = Vec::with_capacity(n_granted.min(1 << 20) as usize);
             for _ in 0..n_granted {
                 granted.push(cur.u64("checkpoint granted id")?);
             }
-            let n_groups = cur.u32("checkpoint group count")?;
-            let mut groups = Vec::with_capacity(n_groups.min(1 << 16) as usize);
-            for _ in 0..n_groups {
-                let name = cur.string("checkpoint group name")?;
-                let max = cur.f64("checkpoint group max")?;
-                if name.is_empty() {
-                    return Err(cur.corrupt("checkpoint group name is empty"));
-                }
-                if !(max.is_finite() && max > 0.0) {
-                    return Err(cur.corrupt("checkpoint group max is not finite and positive"));
-                }
-                groups.push(GroupSnapshot { name, max });
-            }
             cur.finish()?;
             Ok(Record::Checkpoint(CheckpointRecord {
-                seq_spent,
+                spent_units,
                 granted,
-                groups,
             }))
         }
         kind => Err(cur.corrupt(&format!("unknown record kind {kind}"))),
@@ -469,7 +405,7 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
 /// A missing file and an empty or torn-header file recover as empty; a torn
 /// tail is reported via [`Recovery::truncated_bytes`]; a corrupt interior is
 /// a typed error (see the module docs for the torn/corrupt distinction).
-/// Any magic other than `DPXWAL02` is [`LedgerError::BadMagic`].
+/// Any magic other than `DPXWAL03` is [`LedgerError::BadMagic`].
 pub fn recover(path: &Path) -> Result<Recovery, LedgerError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -493,6 +429,9 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, LedgerError> {
     }
     let mut recovery = Recovery::empty();
     let mut pos = MAGIC.len();
+    // The running total must stay representable: an overflowing sum could
+    // only wrap or saturate, and either would forget spent ε.
+    let mut spent: u64 = 0;
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
@@ -541,7 +480,18 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, LedgerError> {
                 detail: "payload checksum mismatch".to_string(),
             });
         }
-        match decode_payload_v2(payload, pos as u64)? {
+        let record = decode_payload(payload, pos as u64)?;
+        let units = match &record {
+            Record::Grant(grant) => grant.units,
+            Record::Checkpoint(ckpt) => ckpt.spent_units,
+        };
+        spent = spent
+            .checked_add(units)
+            .ok_or_else(|| LedgerError::Corrupt {
+                offset: pos as u64,
+                detail: "spent total overflows u64 units".to_string(),
+            })?;
+        match record {
             Record::Grant(grant) => recovery.grants.push(grant),
             Record::Checkpoint(ckpt) => {
                 if pos != MAGIC.len() {
@@ -708,31 +658,20 @@ mod tests {
 
     fn sample_grants() -> Vec<GrantRecord> {
         vec![
-            GrantRecord::for_request(7, 0.3),
-            GrantRecord::for_request(2, 0.1),
+            GrantRecord::for_request(7, 300_000_000_000),
+            GrantRecord::for_request(2, 100_000_000_000),
             GrantRecord {
                 request_id: NO_REQUEST,
-                epsilon: 0.25,
+                units: 250_000_000_000,
                 label: "session/explain ε·λ".to_string(), // non-ASCII label
-                group: None,
             },
         ]
     }
 
     fn sample_checkpoint() -> CheckpointRecord {
         CheckpointRecord {
-            seq_spent: 1.7000000000000002, // a non-representable-sum bit pattern
+            spent_units: 1_700_000_000_001,
             granted: vec![1, 2, 9],
-            groups: vec![
-                GroupSnapshot {
-                    name: "cluster/0".to_string(),
-                    max: 0.25,
-                },
-                GroupSnapshot {
-                    name: "cluster/1".to_string(),
-                    max: 0.125,
-                },
-            ],
         }
     }
 
@@ -755,45 +694,11 @@ mod tests {
         let recovered = recover(&path).unwrap();
         assert_eq!(recovered.grants, sample_grants());
         assert_eq!(recovered.truncated_bytes, 0);
-        assert!((recovered.spent() - 0.65).abs() < 1e-12);
+        assert_eq!(recovered.spent_units(), 650_000_000_000);
+        assert_eq!(recovered.spent(), 0.65);
         assert_eq!(recovered.records_replayed(), 3);
         assert_eq!(recovered.checkpoint_age(), 3);
         assert_eq!(recovered.granted_ids().collect::<Vec<_>>(), vec![7, 2]);
-    }
-
-    #[test]
-    fn grouped_grants_roundtrip_and_replay_tight() {
-        let path = tmp("groups.wal");
-        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        let grants = vec![
-            GrantRecord::for_request(1, 0.5),
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.2,
-                label: "hist/a".to_string(),
-                group: Some("cluster/0".to_string()),
-            },
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.3,
-                label: "hist/b".to_string(),
-                group: Some("cluster/0".to_string()),
-            },
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.1,
-                label: "hist/c".to_string(),
-                group: Some("cluster/1".to_string()),
-            },
-        ];
-        for g in &grants {
-            writer.append(g).unwrap();
-        }
-        drop(writer);
-        let recovered = recover(&path).unwrap();
-        assert_eq!(recovered.grants, grants);
-        // Tight: 0.5 + max(0.2, 0.3) + 0.1, not the flat 1.1 sum.
-        assert!((recovered.spent() - 0.9).abs() < 1e-12);
     }
 
     #[test]
@@ -806,7 +711,9 @@ mod tests {
         let ckpt = sample_checkpoint();
         writer.checkpoint(&ckpt).unwrap();
         // Appends continue after the checkpoint on the compacted file.
-        writer.append(&GrantRecord::for_request(4, 0.125)).unwrap();
+        writer
+            .append(&GrantRecord::for_request(4, 125_000_000_000))
+            .unwrap();
         drop(writer);
 
         let recovered = recover(&path).unwrap();
@@ -818,8 +725,7 @@ mod tests {
             recovered.granted_ids().collect::<Vec<_>>(),
             vec![1, 2, 9, 4]
         );
-        let expected = ((ckpt.seq_spent + 0.125) + 0.25) + 0.125;
-        assert_eq!(recovered.spent().to_bits(), expected.to_bits());
+        assert_eq!(recovered.spent_units(), ckpt.spent_units + 125_000_000_000);
 
         // The compacted file is tiny and reopens cleanly.
         let (_, reopened) = LedgerWriter::open(&path).unwrap();
@@ -831,7 +737,10 @@ mod tests {
     fn checkpoint_mid_file_is_typed_corruption() {
         let ckpt = sample_checkpoint();
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_record(&GrantRecord::for_request(1, 0.5)));
+        bytes.extend_from_slice(&encode_record(&GrantRecord::for_request(
+            1,
+            500_000_000_000,
+        )));
         let ckpt_offset = bytes.len() as u64;
         bytes.extend_from_slice(&encode_checkpoint_record(&ckpt));
         match recover_bytes(&bytes).unwrap_err() {
@@ -847,7 +756,9 @@ mod tests {
     fn stale_checkpoint_tmp_is_swept_on_open() {
         let path = tmp("stale-tmp.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.5)).unwrap();
+        writer
+            .append(&GrantRecord::for_request(1, 500_000_000_000))
+            .unwrap();
         drop(writer);
         // Simulate a kill after the tmp write but before the rename.
         let tmp_path = checkpoint_tmp_path(&path);
@@ -888,40 +799,57 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_file_is_refused_and_left_untouched() {
-        // A v1 file: the old magic followed by one framed, kindless grant.
-        let mut payload = 7u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        let mut bytes = b"DPXWAL01".to_vec();
-        bytes.extend_from_slice(&frame_record(payload));
+    fn legacy_files_are_refused_and_left_untouched() {
+        // v1: the old magic followed by one framed, kindless f64 grant.
+        let mut v1 = 7u64.to_le_bytes().to_vec();
+        v1.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        // v2: a kinded f64 grant with an empty parallel-composition group.
+        let mut v2 = vec![KIND_GRANT];
+        v2.extend_from_slice(&7u64.to_le_bytes());
+        v2.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        v2.extend_from_slice(&0u32.to_le_bytes());
+        v2.extend_from_slice(&0u32.to_le_bytes());
         let dir = tmp("legacy-shards");
         std::fs::create_dir_all(&dir).unwrap();
         let shards = crate::shards::AccountantShards::in_dir(&dir).unwrap();
-        let path = shards.wal_path("legacy").unwrap();
-        std::fs::write(&path, &bytes).unwrap();
+        for (magic, payload) in [(b"DPXWAL01", v1), (b"DPXWAL02", v2)] {
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&frame_record(payload));
+            let dataset = String::from_utf8_lossy(magic).to_string();
+            let path = shards.wal_path(&dataset).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
 
-        assert_eq!(recover(&path).unwrap_err(), LedgerError::BadMagic);
-        assert_eq!(
-            LedgerWriter::open(&path).unwrap_err(),
-            LedgerError::BadMagic
-        );
-        let err = shards
-            .open("legacy", crate::shards::ShardConfig::default())
-            .unwrap_err();
-        assert!(err.to_string().contains("wrong magic"), "{err}");
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "v1 file was modified");
+            assert_eq!(recover(&path).unwrap_err(), LedgerError::BadMagic);
+            assert_eq!(
+                LedgerWriter::open(&path).unwrap_err(),
+                LedgerError::BadMagic
+            );
+            let err = shards
+                .open(&dataset, crate::shards::ShardConfig::default())
+                .unwrap_err();
+            assert!(err.to_string().contains("wrong magic"), "{err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "{dataset} file was modified"
+            );
+        }
     }
 
     #[test]
     fn reopen_appends_after_existing_records() {
         let path = tmp("reopen.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.5)).unwrap();
+        writer
+            .append(&GrantRecord::for_request(1, 500_000_000_000))
+            .unwrap();
         drop(writer);
         let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert_eq!(recovery.grants.len(), 1);
-        writer.append(&GrantRecord::for_request(2, 0.25)).unwrap();
+        writer
+            .append(&GrantRecord::for_request(2, 250_000_000_000))
+            .unwrap();
         drop(writer);
         let recovered = recover(&path).unwrap();
         assert_eq!(recovered.grants.len(), 2);
@@ -953,7 +881,9 @@ mod tests {
 
         // Reopening physically truncates and appends cleanly after the cut.
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(9, 0.1)).unwrap();
+        writer
+            .append(&GrantRecord::for_request(9, 100_000_000_000))
+            .unwrap();
         drop(writer);
         let healed = recover(&path).unwrap();
         assert_eq!(healed.truncated_bytes, 0);
@@ -1006,17 +936,26 @@ mod tests {
     }
 
     #[test]
-    fn nonpositive_epsilon_in_record_is_corruption() {
-        let bad = GrantRecord {
-            request_id: 1,
-            epsilon: -0.5,
-            label: "x".to_string(),
-            group: None,
-        };
+    fn zero_units_in_record_is_corruption() {
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_record(&bad));
+        bytes.extend_from_slice(&encode_record(&GrantRecord::for_request(1, 0)));
         match recover_bytes(&bytes).unwrap_err() {
-            LedgerError::Corrupt { detail, .. } => assert!(detail.contains("epsilon")),
+            LedgerError::Corrupt { detail, .. } => assert!(detail.contains("units"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_spent_total_is_corruption() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&encode_record(&GrantRecord::for_request(1, u64::MAX)));
+        let second = bytes.len() as u64;
+        bytes.extend_from_slice(&encode_record(&GrantRecord::for_request(2, 1)));
+        match recover_bytes(&bytes).unwrap_err() {
+            LedgerError::Corrupt { offset, detail } => {
+                assert_eq!(offset, second);
+                assert!(detail.contains("overflows"), "{detail}");
+            }
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

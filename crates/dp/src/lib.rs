@@ -9,17 +9,19 @@
 //!   [`counter`] module re-derives Gumbel noise from a keyed counter-based
 //!   PRF (Philox-2×64), making the perturbation at any index an independently
 //!   computable pure function — the substrate for parallel DP search.
-//! * **Selection mechanisms** — the [`exponential`] mechanism (McSherry–Talwar),
-//!   [`noisy_max`] (report-noisy-max), and the one-shot [`topk`] mechanism
-//!   (Durfee–Rogers), which releases the top-k candidates with a *single* round
-//!   of noise while being distributionally identical to `k` iterated exponential
-//!   mechanisms.
+//! * **Selection mechanisms** — the [`exponential`] mechanism (McSherry–Talwar)
+//!   and the one-shot [`topk`] mechanism (Durfee–Rogers), which releases the
+//!   top-k candidates with a *single* round of noise while being
+//!   distributionally identical to `k` iterated exponential mechanisms.
 //! * **DP histograms** — [`histogram`] offers pluggable `ε`-DP histogram release
 //!   (`M_hist` in the paper) with geometric or Laplace noise and non-negativity
 //!   post-processing.
-//! * **Budget accounting** — [`budget`] provides `Epsilon`, `Sensitivity` and an
-//!   [`budget::Accountant`] implementing sequential and parallel composition and
-//!   free post-processing, mirroring Proposition 2.1 of the paper.
+//! * **Budget accounting** — [`budget`] provides `Epsilon`, `Sensitivity`, the
+//!   per-request [`budget::Accountant`] implementing sequential and parallel
+//!   composition and free post-processing (Proposition 2.1 of the paper), and
+//!   the per-dataset [`budget::SharedAccountant`] shard, which keeps an exact
+//!   integer running total made durable by the [`ledger`] and grouped per
+//!   dataset by [`shards`].
 //!
 //! All mechanisms are pure functions of `(data, ε, rng)`: determinism under a
 //! seeded RNG makes experiments reproducible, and privacy reasoning stays local
@@ -45,7 +47,6 @@
 
 pub mod accuracy;
 pub mod budget;
-pub mod composition;
 pub mod consistency;
 pub mod counter;
 pub mod error;
@@ -55,7 +56,6 @@ pub mod gumbel;
 pub mod histogram;
 pub mod laplace;
 pub mod ledger;
-pub mod noisy_max;
 pub mod shards;
 pub mod sparse_vector;
 pub mod topk;
@@ -67,8 +67,6 @@ pub use counter::{gumbel_at, CounterRng};
 pub use error::DpError;
 pub use exponential::exponential_mechanism;
 pub use histogram::{GeometricHistogram, HistogramMechanism, LaplaceHistogram};
-pub use ledger::{
-    CheckpointRecord, GrantRecord, GroupSnapshot, LedgerError, LedgerWriter, Recovery, NO_REQUEST,
-};
+pub use ledger::{CheckpointRecord, GrantRecord, LedgerError, LedgerWriter, Recovery, NO_REQUEST};
 pub use shards::{AccountantShards, ShardConfig};
 pub use topk::one_shot_top_k;

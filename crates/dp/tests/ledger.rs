@@ -4,7 +4,8 @@
 //! seeded in-file PRNG (no proptest dependency — the offline build stubs it
 //! out, and the format invariants need exhaustive byte-level control anyway):
 //!
-//! * random grant sequences round-trip write → recover exactly;
+//! * random grant sequences round-trip write → recover exactly, spent
+//!   units included;
 //! * truncating the file at **every** byte offset inside the tail record
 //!   recovers precisely the preceding records (the torn-tail rule);
 //! * a bit-flip anywhere inside an interior record surfaces the typed
@@ -34,8 +35,8 @@ impl Prng {
             0 => NO_REQUEST,
             _ => self.below(1_000_000),
         };
-        // ε in (0, ~20], never zero, always finite.
-        let epsilon = (self.below(1_000_000) + 1) as f64 / 50_000.0;
+        // ε in (0, ~20] as whole units: never zero.
+        let units = (self.below(1_000_000) + 1) * 20_000_000;
         let label_len = self.below(40) as usize;
         let label: String = (0..label_len)
             .map(|_| {
@@ -44,39 +45,12 @@ impl Prng {
                 ALPHABET[self.below(8) as usize]
             })
             .collect();
-        // A third of grants are parallel-composition members spread over a
-        // few group names, so replay exercises the max-per-group rule.
-        let group = match self.below(3) {
-            0 => Some(format!("group/{}", self.below(4))),
-            _ => None,
-        };
         GrantRecord {
             request_id,
-            epsilon,
+            units,
             label,
-            group,
         }
     }
-}
-
-/// The tight composition bound the recovered spend must equal: sequential
-/// grants sum, grouped grants contribute their per-group maximum.
-fn tight_spent(grants: &[GrantRecord]) -> f64 {
-    let seq: f64 = grants
-        .iter()
-        .filter(|g| g.group.is_none())
-        .map(|g| g.epsilon)
-        .sum();
-    let mut groups: Vec<(&str, f64)> = Vec::new();
-    for g in grants {
-        if let Some(name) = g.group.as_deref() {
-            match groups.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, max)) => *max = max.max(g.epsilon),
-                None => groups.push((name, g.epsilon)),
-            }
-        }
-    }
-    seq + groups.iter().map(|(_, m)| m).sum::<f64>()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -104,11 +78,8 @@ fn random_grant_sequences_roundtrip() {
         let recovery = recover(&path).unwrap();
         assert_eq!(recovery.grants, grants, "case {case}");
         assert_eq!(recovery.truncated_bytes, 0, "case {case}");
-        let expected = tight_spent(&grants);
-        assert!(
-            (recovery.spent() - expected).abs() <= 1e-9 * expected.max(1.0),
-            "case {case}"
-        );
+        let expected: u64 = grants.iter().map(|g| g.units).sum();
+        assert_eq!(recovery.spent_units(), expected, "case {case}");
     }
 }
 
@@ -203,7 +174,7 @@ fn bitflip_in_any_interior_byte_is_typed_corruption() {
 
 #[test]
 fn bitflip_in_magic_is_bad_magic() {
-    let grants = vec![GrantRecord::for_request(1, 0.25)];
+    let grants = vec![GrantRecord::for_request(1, 250_000_000_000)];
     let path = tmp("flip-magic.wal");
     write_grants(&path, &grants);
     let mut bytes = std::fs::read(&path).unwrap();

@@ -372,8 +372,7 @@ fn check_accounting(
     for violation in registry.shards().probe_violations() {
         outcome.violation(violation);
     }
-    let mut granted = accountant.granted_ids();
-    granted.sort_unstable();
+    let granted = accountant.granted_ids();
     let mut expected: Vec<u64> = expected_granted.to_vec();
     expected.sort_unstable();
     if granted != expected {

@@ -48,7 +48,8 @@ pub enum RequestOp {
 
 /// One explanation request, as decoded from a JSONL line.
 ///
-/// Only `id` is required; every other field has the CLI's default. Weights
+/// Only `id` is required; every other field has the CLI's default, and a key
+/// the line's op does not know is a `bad_line` reject. Weights
 /// are accepted as a three-element array `[int, suf, div]` and normalized,
 /// and `stage2_kernel` takes the CLI's `seq|counter` syntax.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,7 +202,10 @@ impl ExplainRequest {
     }
 
     /// The strict field-by-field decode (everything but the ε range check,
-    /// which [`Self::classify_json_line`] types separately).
+    /// which [`Self::classify_json_line`] types separately). The op is read
+    /// first because it picks the key table: a key outside it is refused,
+    /// so a misspelt field (`eps_cnad`) can never silently fall back to its
+    /// default and spend ε the caller did not ask for.
     fn parse_fields(v: &Json) -> Result<Self, String> {
         let id = v
             .get("id")
@@ -209,6 +213,31 @@ impl ExplainRequest {
             .as_u64()
             .ok_or_else(|| "'id' must be a non-negative integer".to_string())?;
         let mut req = ExplainRequest::new(id);
+        let op = match v.get("op") {
+            None => "explain",
+            Some(op) => op
+                .as_str()
+                .ok_or_else(|| "'op' must be a string".to_string())?,
+        };
+        let keys = match op {
+            "explain" => EXPLAIN_KEYS,
+            "append" => APPEND_KEYS,
+            "stats" | "shutdown" => CONTROL_KEYS,
+            other => {
+                return Err(format!(
+                    "unknown op '{other}' (expected 'explain', 'append', 'stats', or \
+                     'shutdown')"
+                ))
+            }
+        };
+        if let Json::Object(fields) = v {
+            if let Some((key, _)) = fields.iter().find(|(key, _)| !keys.contains(&key.as_str())) {
+                return Err(format!(
+                    "unknown key '{key}' for op '{op}' (accepted: {})",
+                    keys.join(", ")
+                ));
+            }
+        }
         if let Some(d) = v.get("dataset") {
             req.dataset = d
                 .as_str()
@@ -256,29 +285,18 @@ impl ExplainRequest {
                 })?),
             };
         }
-        if let Some(op) = v.get("op") {
-            let text = op
-                .as_str()
-                .ok_or_else(|| "'op' must be a string".to_string())?;
-            match text {
-                "explain" => {}
-                "append" => {
-                    let rows = v.get("rows").ok_or_else(|| {
-                        "append requests need a 'rows' array of coded rows".to_string()
-                    })?;
-                    req.op = RequestOp::Append {
-                        rows: parse_rows(rows)?,
-                    };
-                }
-                "stats" => req.op = RequestOp::Stats,
-                "shutdown" => req.op = RequestOp::Shutdown,
-                other => {
-                    return Err(format!(
-                        "unknown op '{other}' (expected 'explain', 'append', 'stats', or \
-                         'shutdown')"
-                    ))
-                }
+        match op {
+            "append" => {
+                let rows = v.get("rows").ok_or_else(|| {
+                    "append requests need a 'rows' array of coded rows".to_string()
+                })?;
+                req.op = RequestOp::Append {
+                    rows: parse_rows(rows)?,
+                };
             }
+            "stats" => req.op = RequestOp::Stats,
+            "shutdown" => req.op = RequestOp::Shutdown,
+            _ => {}
         }
         Ok(req)
     }
@@ -346,6 +364,28 @@ impl ExplainRequest {
     }
 }
 
+/// The keys an explain line may carry (the default op).
+const EXPLAIN_KEYS: &[&str] = &[
+    "id",
+    "op",
+    "dataset",
+    "seed",
+    "cluster_by",
+    "n_clusters",
+    "k",
+    "eps_cand",
+    "eps_comb",
+    "eps_hist",
+    "weights",
+    "stage2_kernel",
+    "consistency",
+    "deadline_ms",
+];
+/// The keys an append line may carry.
+const APPEND_KEYS: &[&str] = &["id", "op", "dataset", "rows"];
+/// The keys a control line (`stats`, `shutdown`) may carry.
+const CONTROL_KEYS: &[&str] = &["id", "op"];
+
 /// Machine-readable classes for wire-level rejects (the request never became
 /// an [`ExplainRequest`]); execution-level classes live in
 /// [`crate::service::reason`].
@@ -355,7 +395,7 @@ pub mod reject_reason {
     /// The line re-used a request id already admitted earlier.
     pub const DUPLICATE_ID: &str = "duplicate_id";
     /// The line is not a decodable request at all (bad JSON, bad UTF-8,
-    /// missing/ill-typed fields).
+    /// missing/ill-typed fields, or a key its op does not accept).
     pub const BAD_LINE: &str = "bad_line";
     /// The daemon refused the request at admission because the tenant's
     /// queue is full. The response carries a `retry_after_ms` backpressure

@@ -4,14 +4,14 @@
 //! The wire parser is the first thing adversarial bytes touch, so its
 //! contract is checked over generated input families rather than a fixed
 //! list: arbitrary bytes (including invalid UTF-8), truncations of valid
-//! request lines, duplicate JSON keys, duplicate request ids, and hostile ε
-//! values. Each family asserts the same conservation law — every input line
+//! request lines, duplicate JSON keys, duplicate request ids, hostile ε
+//! values, and keys a line's op does not accept. Each family asserts the same conservation law — every input line
 //! is answered by exactly one parsed request or one classified reject.
 //!
 //! Failures replay via the vendored stub's `PROPTEST_SEED` environment
 //! variable (printed on failure).
 
-use dpx_serve::{parse_requests_lenient, reject_reason, ExplainRequest};
+use dpx_serve::{parse_requests_lenient, reject_reason, ExplainRequest, RequestOp};
 use proptest::prelude::*;
 
 /// Runs the lenient parser over raw bytes and returns (requests, rejects).
@@ -160,6 +160,35 @@ proptest! {
         prop_assert!(reject.message.contains(field), "{}", reject.message);
     }
 
+    /// A key outside the line's op table — a typo of a real field, or a
+    /// real field on the wrong op — is a typed `bad_line` reject that names
+    /// the key and echoes the id. It never becomes a request, so it never
+    /// reaches an accountant and spends nothing.
+    #[test]
+    fn unknown_keys_are_typed_rejects_naming_the_key(
+        id in 0u64..1_000_000,
+        op in 0usize..4,
+        key in 0usize..6,
+    ) {
+        let (op, base) = [
+            ("explain", String::new()),
+            ("append", ", \"rows\": [[0, 1]]".to_string()),
+            ("stats", String::new()),
+            ("shutdown", String::new()),
+        ][op].clone();
+        // Each key is foreign to every op except where noted: `seed` belongs
+        // to explain only, `rows` to append only.
+        let key = ["eps_cnad", "epsilon_comb", "Seed", "tenant", "seed", "rows"][key];
+        if (op == "explain" && key == "seed") || (op == "append" && key == "rows") {
+            return Ok(());
+        }
+        let line = format!("{{\"id\": {id}, \"op\": \"{op}\"{base}, \"{key}\": 1}}");
+        let reject = ExplainRequest::classify_json_line(&line).unwrap_err();
+        prop_assert_eq!(reject.reason, reject_reason::BAD_LINE);
+        prop_assert_eq!(reject.id, Some(id));
+        prop_assert!(reject.message.contains(&format!("'{key}'")), "{}", reject.message);
+    }
+
     /// Round trip: every request the wire can encode, the wire classifies
     /// back as the same request (the classifier is total on its own image).
     /// Ids and seeds range over the wire's exactly-representable integers —
@@ -183,6 +212,18 @@ proptest! {
         let reparsed = ExplainRequest::classify_json_line(&req.to_json_line())
             .expect("the encoder's image must classify");
         prop_assert_eq!(reparsed, req);
+        // Every op's encoding stays inside its own key table.
+        for op in [
+            RequestOp::Append { rows: vec![vec![0, 1]] },
+            RequestOp::Stats,
+            RequestOp::Shutdown,
+        ] {
+            let mut req = ExplainRequest::new(id);
+            req.op = op;
+            let reparsed = ExplainRequest::classify_json_line(&req.to_json_line())
+                .expect("the encoder's image must classify");
+            prop_assert_eq!(reparsed.op, req.op);
+        }
     }
 }
 
@@ -218,6 +259,16 @@ fn hostile_line_zoo_classifies_every_shape() {
             "{\"id\": 8, \"op\": \"retract\"}",
             reject_reason::BAD_LINE,
             Some(8),
+        ),
+        (
+            "{\"id\": 10, \"eps_cnad\": 0.001, \"epsilon_comb\": 0.001}",
+            reject_reason::BAD_LINE,
+            Some(10),
+        ),
+        (
+            "{\"id\": 11, \"op\": \"stats\", \"dataset\": \"default\"}",
+            reject_reason::BAD_LINE,
+            Some(11),
         ),
     ];
     let mut text = String::new();

@@ -10,14 +10,10 @@
 //! under the identical workloads at 1, 2, 8, and 32 threads and must never
 //! exceed the cap, while recording every accepted spend exactly.
 
-use dpx_dp::budget::{Accountant, Epsilon};
+use dpx_dp::budget::{epsilon_units, units_epsilon, Epsilon};
 use dpx_dp::SharedAccountant;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
-
-/// The cap tolerance the accountant itself uses (`check_cap` allows
-/// `cap * (1 + 1e-9)` of float round-off).
-const CAP_TOL: f64 = 1e-9;
 
 /// The deliberately broken gate: `check` and `spend` are separate critical
 /// sections, so between a passing check and its spend another thread can
@@ -43,7 +39,7 @@ impl NaiveCheckThenSpend {
     /// First half of the race: would `eps` fit right now?
     fn check(&self, eps: f64) -> bool {
         let spent: f64 = self.lock().iter().sum();
-        spent + eps <= self.cap * (1.0 + CAP_TOL)
+        spent + eps <= self.cap
     }
 
     /// Second half: record unconditionally (the check already "passed").
@@ -78,7 +74,7 @@ fn naive_check_then_spend_overspends_under_contention() {
         }
     });
     assert!(
-        gate.spent() > 1.0 + CAP_TOL,
+        gate.spent() > 1.0,
         "the naive gate was expected to overspend (spent {}), so this \
          harness would not detect a TOCTOU accountant",
         gate.spent()
@@ -111,18 +107,31 @@ fn shared_accountant_never_overspends_under_the_same_race() {
         }
     });
     assert_eq!(accepted.load(Ordering::SeqCst), 3, "⌊1.0 / 0.3⌋ fit");
-    assert!(accountant.spent() <= 1.0 * (1.0 + CAP_TOL));
+    assert!(accountant.spent() <= 1.0);
     assert_eq!(accountant.num_charges(), 3);
 }
 
+/// What the workers of one stress round *believe* they were granted.
+struct Granted {
+    /// Their ε, summed as `f64`.
+    eps: f64,
+    /// Their ε in shard units, summed exactly.
+    units: u64,
+    /// How many spends were accepted.
+    count: usize,
+}
+
 /// One stress round: `threads` workers each fire `attempts` mixed-size
-/// requests at a capped accountant as fast as they can. Returns the total ε
-/// the workers *believe* they were granted.
-fn hammer(threads: usize, attempts: usize, cap: f64, accountant: &SharedAccountant) -> f64 {
+/// requests at a capped accountant as fast as they can.
+fn hammer(threads: usize, attempts: usize, accountant: &SharedAccountant) -> Granted {
     // Mixed request sizes, co-prime-ish with the cap so acceptance order
     // actually matters near the boundary.
     let sizes = [0.01, 0.07, 0.02, 0.25, 0.05, 0.11];
-    let granted = Mutex::new(0.0f64);
+    let granted = Mutex::new(Granted {
+        eps: 0.0,
+        units: 0,
+        count: 0,
+    });
     let start = Barrier::new(threads);
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -132,26 +141,33 @@ fn hammer(threads: usize, attempts: usize, cap: f64, accountant: &SharedAccounta
             let sizes = &sizes;
             scope.spawn(move || {
                 start.wait();
-                let mut mine = 0.0;
+                let mut mine = Granted {
+                    eps: 0.0,
+                    units: 0,
+                    count: 0,
+                };
                 for a in 0..attempts {
                     let eps = sizes[(t + a) % sizes.len()];
                     if accountant
                         .try_spend(format!("t{t}/a{a}"), Epsilon::new(eps).unwrap())
                         .is_ok()
                     {
-                        mine += eps;
+                        mine.eps += eps;
+                        mine.units += epsilon_units(eps).unwrap();
+                        mine.count += 1;
                     }
                     if a % 7 == 0 {
                         std::thread::yield_now();
                     }
                 }
-                *granted.lock().unwrap_or_else(PoisonError::into_inner) += mine;
+                let mut total = granted.lock().unwrap_or_else(PoisonError::into_inner);
+                total.eps += mine.eps;
+                total.units += mine.units;
+                total.count += mine.count;
             });
         }
     });
-    let total = *granted.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = cap;
-    total
+    granted.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[test]
@@ -159,28 +175,27 @@ fn stress_total_spend_never_exceeds_cap_and_every_grant_is_recorded() {
     for threads in [1, 2, 8, 32] {
         let cap = 1.0;
         let accountant = SharedAccountant::with_cap(Epsilon::new(cap).unwrap());
-        let granted = hammer(threads, 64, cap, &accountant);
+        let granted = hammer(threads, 64, &accountant);
 
-        // Invariant 1: the ledger never exceeds the cap (up to the
-        // accountant's own float tolerance).
+        // Invariant 1: the ledger never exceeds the cap (the shard compares
+        // exact integer units, so no tolerance applies).
         assert!(
-            accountant.spent() <= cap * (1.0 + CAP_TOL),
+            accountant.spent() <= cap,
             "threads={threads}: spent {} > cap {cap}",
             accountant.spent()
         );
         // Invariant 2: everything the workers were granted is in the ledger
         // — an accepted try_spend is fully recorded, never lost.
         assert!(
-            (accountant.spent() - granted).abs() < 1e-9,
-            "threads={threads}: ledger {} != granted {granted}",
-            accountant.spent()
+            (accountant.spent() - granted.eps).abs() < 1e-9,
+            "threads={threads}: ledger {} != granted {}",
+            accountant.spent(),
+            granted.eps
         );
-        // Invariant 3: the ledger is internally consistent — the snapshot's
-        // per-charge sum is the reported spend, one entry per grant.
-        let snapshot: Accountant = accountant.snapshot();
-        let ledger_sum: f64 = snapshot.sequential_charges().map(|c| c.epsilon).sum();
-        assert!((ledger_sum - accountant.spent()).abs() < 1e-9);
-        assert_eq!(snapshot.num_charges(), accountant.num_charges());
+        // Invariant 3: one charge per accepted spend, and the spend is their
+        // exact sum.
+        assert_eq!(accountant.num_charges(), granted.count);
+        assert_eq!(accountant.spent(), units_epsilon(granted.units));
         // Invariant 4: the cap was actually contended — the workload offered
         // far more ε than the cap admits, so near-full utilization means the
         // races were real, not a workload that never reached the boundary.
@@ -195,16 +210,17 @@ fn stress_total_spend_never_exceeds_cap_and_every_grant_is_recorded() {
 #[test]
 fn stress_rejections_record_nothing() {
     // A cap so small that almost everything is rejected: the ledger must
-    // contain only the accepted spends, and audit() must stay renderable
-    // while other threads are still spending.
+    // contain only the accepted spends, and the probe must stay consistent
+    // after the storm.
     let accountant = SharedAccountant::with_cap(Epsilon::new(0.05).unwrap());
-    let granted = hammer(16, 32, 0.05, &accountant);
-    assert!((accountant.spent() - granted).abs() < 1e-9);
-    assert!(accountant.spent() <= 0.05 * (1.0 + CAP_TOL));
-    let audit = accountant.audit();
+    let granted = hammer(16, 32, &accountant);
+    assert!((accountant.spent() - granted.eps).abs() < 1e-9);
+    assert!(accountant.spent() <= 0.05);
+    assert_eq!(accountant.num_charges(), granted.count);
+    let violations = accountant.probe().violations();
     assert!(
-        audit.contains("total ε"),
-        "audit must render after the storm:\n{audit}"
+        violations.is_empty(),
+        "probe after the storm: {violations:?}"
     );
 }
 
