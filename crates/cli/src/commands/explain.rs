@@ -1,83 +1,74 @@
 //! `explain` and `evaluate`: cluster the data and print the DP explanation
 //! (plus, for `evaluate`, the offline comparison against TabEE).
 
-use super::{load, parse_method};
+use super::{cluster_and_explain, Explained};
 use crate::args::Cli;
 use crate::CliError;
 use dpclustx::baselines::tabee;
 use dpclustx::counts::ScoreTable;
-use dpclustx::engine::{CollectingObserver, ExplainEngine, NoopObserver};
+use dpclustx::engine::CollectingObserver;
 use dpclustx::eval::{mae, QualityEvaluator};
-use dpclustx::framework::{DpClustX, DpClustXConfig};
 use dpclustx::parallel::default_threads;
 use dpclustx::text;
 use dpx_data::contingency::ClusteredCounts;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::io::Write;
 
-pub(super) fn explain<W: std::io::Write>(
-    cli: &Cli,
-    out: &mut W,
-    evaluate: bool,
-) -> Result<(), CliError> {
-    let data = load(cli)?;
-    let n_clusters = cli.required_usize("clusters")?;
-    if n_clusters == 0 {
-        return Err(CliError::Usage("--clusters must be positive".into()));
-    }
-    let method = parse_method(cli)?;
-    let seed = cli.u64("seed", 2025)?;
-    let config = DpClustXConfig {
-        k: cli.usize("k", 3)?,
-        eps_cand_set: cli.f64("eps-cand", 0.1)?,
-        eps_top_comb: cli.f64("eps-comb", 0.1)?,
-        eps_hist: Some(cli.f64("eps-hist", 0.1)?),
-        weights: cli.weights()?,
-        consistency: cli.string("consistency", "off") == "on",
-    };
+pub(super) fn explain(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
+    explain_and_print(cli, out).map(|_| ())
+}
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = method.fit(&data, n_clusters, &mut rng);
-    let labels = model.assign_all(&data);
+pub(super) fn evaluate(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
+    let Explained {
+        data,
+        labels,
+        n_clusters,
+        config,
+        outcome,
+        ..
+    } = explain_and_print(cli, out)?;
+    let counts =
+        ClusteredCounts::build_parallel(&data, &labels, n_clusters, default_threads(data.n_rows()));
+    let st = ScoreTable::from_clustered_counts(&counts);
+    let evaluator = QualityEvaluator::new(&st, config.weights);
+    let reference = tabee::select(&st, config.k, config.weights);
+    let q_dp = evaluator.quality(&outcome.assignment);
+    let q_ref = evaluator.quality(&reference);
+    writeln!(out, "--- offline evaluation (uses raw data; not DP) ---")?;
+    writeln!(
+        out,
+        "Quality: DPClustX {q_dp:.4}, TabEE {q_ref:.4}; MAE {:.4}",
+        mae(&outcome.assignment, &reference)
+    )?;
+    writeln!(
+        out,
+        "TabEE attributes: {:?}",
+        reference
+            .iter()
+            .map(|&a| data.schema().attribute(a).name.as_str())
+            .collect::<Vec<_>>()
+    )?;
+    Ok(())
+}
+
+/// Clusters, explains and prints the explanation (and, with `--timings`,
+/// the staged-engine report).
+fn explain_and_print(cli: &Cli, out: &mut dyn Write) -> Result<Explained, CliError> {
+    let mut observer = CollectingObserver::new();
+    let explained = cluster_and_explain(cli, &mut observer)?;
+    let outcome = &explained.outcome;
     writeln!(
         out,
         "clustered {} tuples with {} into {} clusters",
-        data.n_rows(),
-        method.name(),
-        n_clusters
+        explained.data.n_rows(),
+        explained.method.name(),
+        explained.n_clusters
     )?;
-
-    let timings = cli.bool("timings");
-    let kernel = cli.stage2_kernel()?;
-    let mut observer = CollectingObserver::new();
-    let engine = ExplainEngine::new(config).with_stage2_kernel(kernel);
-    let outcome = if timings {
-        engine.explain_uncached(
-            &data,
-            &labels,
-            n_clusters,
-            &dpx_dp::histogram::GeometricHistogram,
-            &mut rng,
-            &mut observer,
-        )?
-    } else if kernel == dpclustx::Stage2Kernel::default() {
-        DpClustX::new(config).explain(&data, &labels, n_clusters, &mut rng)?
-    } else {
-        engine.explain_uncached(
-            &data,
-            &labels,
-            n_clusters,
-            &dpx_dp::histogram::GeometricHistogram,
-            &mut rng,
-            &mut NoopObserver,
-        )?
-    };
     writeln!(
         out,
         "\nselected attributes: {:?}",
         outcome.explanation.attribute_names()
     )?;
-    if timings {
+    if cli.bool("timings") {
         writeln!(out, "\nstage timings:\n{}", observer.report())?;
     }
     writeln!(out, "\nprivacy audit:\n{}", outcome.accountant.audit())?;
@@ -85,70 +76,18 @@ pub(super) fn explain<W: std::io::Write>(
         writeln!(out, "{}", e.render())?;
         writeln!(out, "  {}\n", text::describe(e))?;
     }
-
-    if evaluate {
-        let counts = ClusteredCounts::build_parallel(
-            &data,
-            &labels,
-            n_clusters,
-            default_threads(data.n_rows()),
-        );
-        let st = ScoreTable::from_clustered_counts(&counts);
-        let evaluator = QualityEvaluator::new(&st, config.weights);
-        let reference = tabee::select(&st, config.k, config.weights);
-        let q_dp = evaluator.quality(&outcome.assignment);
-        let q_ref = evaluator.quality(&reference);
-        writeln!(out, "--- offline evaluation (uses raw data; not DP) ---")?;
-        writeln!(
-            out,
-            "Quality: DPClustX {q_dp:.4}, TabEE {q_ref:.4}; MAE {:.4}",
-            mae(&outcome.assignment, &reference)
-        )?;
-        writeln!(
-            out,
-            "TabEE attributes: {:?}",
-            reference
-                .iter()
-                .map(|&a| data.schema().attribute(a).name.as_str())
-                .collect::<Vec<_>>()
-        )?;
-    }
-    Ok(())
+    Ok(explained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::tests::{run_cli, tmpdir};
+    use crate::commands::tests::{generated, run_cli, run_on};
 
     #[test]
     fn explain_timings_reports_all_four_stages() {
-        let dir = tmpdir();
-        let prefix = dir.join("timed");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "1000",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        let text = run_cli(&[
-            "explain",
-            "--data",
-            &csv,
-            "--schema",
-            &schema,
-            "--clusters",
-            "3",
-            "--timings",
-        ])
-        .unwrap();
+        let data = generated("diabetes", "timed", "1000");
+        let text = run_on("explain", &data, &["--clusters", "3", "--timings"]).unwrap();
         assert!(text.contains("stage timings:"));
         for stage in [
             "build-counts",
@@ -164,99 +103,37 @@ mod tests {
 
     #[test]
     fn explain_stage2_kernels_agree_and_bad_kernel_is_rejected() {
-        let dir = tmpdir();
-        let prefix = dir.join("kern");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "1200",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
+        let data = generated("diabetes", "kern", "1200");
         let explain = |kernel: &str| {
-            run_cli(&[
+            run_on(
                 "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "3",
-                "--stage2-kernel",
-                kernel,
-            ])
-            .unwrap()
+                &data,
+                &["--clusters", "3", "--stage2-kernel", kernel],
+            )
         };
         // The counter kernel is seeded like the default one, so the whole
         // explanation (selected attributes, histograms, audit) printed for
         // the same seed must match verbatim under either selector spelling.
-        assert_eq!(explain("counter"), explain("counter-serial"));
-        assert!(explain("counter").contains("privacy audit"));
-        assert!(matches!(
-            run_cli(&[
-                "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "3",
-                "--stage2-kernel",
-                "fourier",
-            ]),
-            Err(CliError::Usage(_))
-        ));
+        assert_eq!(
+            explain("counter").unwrap(),
+            explain("counter-serial").unwrap()
+        );
+        assert!(explain("counter").unwrap().contains("privacy audit"));
+        assert!(matches!(explain("fourier"), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn explain_rejects_bad_method_and_cluster_count() {
-        let dir = tmpdir();
-        let prefix = dir.join("tiny");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "so",
-            "--rows",
-            "200",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        assert!(matches!(
-            run_cli(&[
-                "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "2",
-                "--method",
-                "dbscan",
-            ]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_cli(&[
-                "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "0"
-            ]),
-            Err(CliError::Usage(_))
-        ));
+        let data = generated("so", "tiny", "200");
+        for extra in [
+            &["--clusters", "2", "--method", "dbscan"][..],
+            &["--clusters", "0"][..],
+        ] {
+            assert!(matches!(
+                run_on("explain", &data, extra),
+                Err(CliError::Usage(_))
+            ));
+        }
     }
 
     #[test]

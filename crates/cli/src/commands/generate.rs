@@ -8,24 +8,19 @@ use dpx_data::synth;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 
-pub(super) fn generate<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError> {
-    let dataset = cli.required("dataset")?.to_string();
-    let prefix = cli.required("out")?.to_string();
-    let groups = cli.usize("groups", 3)?;
-    let seed = cli.u64("seed", 2025)?;
-    let spec = match dataset.as_str() {
+pub(super) fn generate(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
+    let prefix = cli.str("out")?;
+    let groups = cli.get("groups")?;
+    let seed = cli.get("seed")?;
+    let spec = match cli.str("dataset")? {
         "diabetes" => synth::diabetes::spec(groups),
         "census" => synth::census::spec(groups),
         "stackoverflow" | "so" => synth::stackoverflow::spec(groups),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown dataset '{other}' (diabetes|census|stackoverflow)"
-            )))
-        }
+        other => unreachable!("--dataset {other} passed the choice check"),
     };
-    let rows = cli.usize("rows", 20_000)?;
+    let rows = cli.get("rows")?;
     let mut rng = StdRng::seed_from_u64(seed);
     let data = spec.generate(rows, &mut rng).data;
 

@@ -1,42 +1,36 @@
 //! `rank`: the exact (non-private) ranked candidates of one cluster.
 
-use super::{load, parse_method};
+use super::cluster;
 use crate::args::Cli;
 use crate::CliError;
 use dpclustx::counts::ScoreTable;
 use dpclustx::parallel::default_threads;
 use dpclustx::stage1::rank_attributes;
 use dpx_data::contingency::ClusteredCounts;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::io::Write;
 
-pub(super) fn rank<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError> {
-    let data = load(cli)?;
-    let n_clusters = cli.required_usize("clusters")?;
-    let cluster = cli.required_usize("cluster")?;
-    if cluster >= n_clusters {
+pub(super) fn rank(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
+    let n_clusters: usize = cli.get("clusters")?;
+    let cluster_id: usize = cli.get("cluster")?;
+    if cluster_id >= n_clusters {
         return Err(CliError::Usage(format!(
-            "--cluster {cluster} out of range (clusters = {n_clusters})"
+            "--cluster {cluster_id} out of range (clusters = {n_clusters})"
         )));
     }
-    let method = parse_method(cli)?;
-    let seed = cli.u64("seed", 2025)?;
-    let top = cli.usize("top", 10)?;
+    let top = cli.get("top")?;
+    let gamma = cli.weights()?.gamma();
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = method.fit(&data, n_clusters, &mut rng);
-    let labels = model.assign_all(&data);
+    let (data, labels, _, _, _) = cluster(cli)?;
     let counts =
         ClusteredCounts::build_parallel(&data, &labels, n_clusters, default_threads(data.n_rows()));
     let st = ScoreTable::from_clustered_counts(&counts);
-    let gamma = cli.weights()?.gamma();
 
     writeln!(
         out,
         "⚠ exact scores computed from raw data (not DP) — diagnostics only\n"
     )?;
-    writeln!(out, "ranked candidates for cluster {cluster}:")?;
-    for (rank, (attr, score)) in rank_attributes(&st, cluster, gamma)
+    writeln!(out, "ranked candidates for cluster {cluster_id}:")?;
+    for (rank, (attr, score)) in rank_attributes(&st, cluster_id, gamma)
         .into_iter()
         .take(top)
         .enumerate()

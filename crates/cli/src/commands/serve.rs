@@ -1,100 +1,85 @@
-//! `serve-daemon` and `serve-batch`: the resident explanation daemon over
-//! one registered dataset (`serve-batch` is the same command with a request
-//! file required).
+//! `serve-daemon`: the resident explanation daemon over one registered
+//! dataset.
 
-use super::load;
+use super::{flag, load, Flag};
+use super::{Fallback::*, Kind::*};
 use crate::args::Cli;
 use crate::CliError;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 
-/// The serving command's durable state: ledger/durability flag validation,
-/// the loaded dataset, and the (possibly durable) registry with its
-/// recovered grant set.
-struct ServingSetup {
-    registry: std::sync::Arc<dpx_serve::DatasetRegistry>,
-    entry: std::sync::Arc<dpx_serve::DatasetEntry>,
-    granted: std::collections::HashSet<u64>,
-    ledger_dir: Option<String>,
-    resume: bool,
-    deadline_ms: Option<u64>,
-    checkpoint_every: Option<u64>,
-}
-
-/// Validates the shared durability flags, loads the dataset, and opens the
-/// registry — recovering each shard's write-ahead ledger when --ledger-dir
-/// is given.
-fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
-    use dpx_serve::{AccountantShards, DatasetRegistry, ShardConfig};
-    use std::sync::Arc;
-
-    if cli.opt_string("ledger").is_some() {
-        return Err(CliError::Usage(
-            "--ledger <file> was replaced by --ledger-dir <dir> \
-             (one write-ahead ledger per dataset: <dir>/<dataset>.wal)"
-                .into(),
-        ));
-    }
-    let ledger_dir = cli.opt_string("ledger-dir");
-    let resume = cli.bool("resume");
-    let deadline_ms = cli.opt_u64("deadline-ms")?;
-    let checkpoint_every = cli.opt_u64("checkpoint-every")?;
-    if resume && ledger_dir.is_none() {
-        return Err(CliError::Usage(
-            "--resume requires --ledger-dir (there is no grant log to resume from)".into(),
-        ));
-    }
-    if let Some(every) = checkpoint_every {
-        if ledger_dir.is_none() {
-            return Err(CliError::Usage(
-                "--checkpoint-every requires --ledger-dir (nothing to checkpoint in memory)".into(),
-            ));
-        }
-        if every == 0 {
-            return Err(CliError::Usage(
-                "--checkpoint-every must be positive".into(),
-            ));
-        }
-    }
-    let data = load(cli)?;
-    let cap = match cli.f64("budget", f64::INFINITY)? {
-        b if b.is_infinite() => None,
-        b => Some(dpx_dp::budget::Epsilon::new(b)?),
-    };
-
-    let registry = match &ledger_dir {
-        Some(dir) => Arc::new(DatasetRegistry::with_shards(Arc::new(
-            AccountantShards::in_dir(std::path::Path::new(dir))?,
-        ))),
-        None => Arc::new(DatasetRegistry::new()),
-    };
-    let name = cli.string("name", "default");
-    let entry = match &ledger_dir {
-        Some(_) => {
-            let config = ShardConfig {
-                cap,
-                checkpoint_every,
-            };
-            registry.register_sharded(name, Arc::new(data), config)?
-        }
-        None => registry.register(name, Arc::new(data), cap),
-    };
-    let granted = entry.accountant().granted_ids().into_iter().collect();
-    Ok(ServingSetup {
-        registry,
-        entry,
-        granted,
-        ledger_dir,
-        resume,
-        deadline_ms,
-        checkpoint_every,
-    })
-}
+/// `serve-daemon`'s own flags (beside `--data` and `--schema`).
+pub(super) const FLAGS: &[Flag] = &[
+    flag(
+        "out",
+        Value,
+        Required,
+        "response file (JSONL): appended as answers land, rewritten sorted by id at a clean drain",
+    ),
+    flag(
+        "requests",
+        Value,
+        Unset,
+        "request file (JSONL), served closed-loop; with neither this nor --socket, stdin",
+    ),
+    flag(
+        "socket",
+        Value,
+        Unset,
+        "Unix socket to serve, one handler per connection, with full admission control",
+    ),
+    flag("workers", Value, Default("2"), "worker threads"),
+    flag(
+        "queue-capacity",
+        Value,
+        Default("32"),
+        "queued requests per dataset; a full lane answers overloaded",
+    ),
+    flag(
+        "drain-deadline-ms",
+        Value,
+        Default("10000"),
+        "time the drain gives queued work; unstarted work past it is shed at zero ε",
+    ),
+    flag(
+        "deadline-ms",
+        Value,
+        Unset,
+        "wall-clock bound of each request, admission included (a request's deadline_ms overrides it)",
+    ),
+    flag("budget", Value, Unset, "ε cap of the dataset (uncapped when absent)"),
+    flag("name", Value, Default("default"), "name requests address the dataset by"),
+    flag(
+        "ledger-dir",
+        Value,
+        Unset,
+        "directory of durable per-dataset ε ledgers (<dir>/<name>.wal)",
+    ),
+    flag(
+        "checkpoint-every",
+        Value,
+        Unset,
+        "compact a shard's ledger after this many grants (needs --ledger-dir)",
+    ),
+    flag(
+        "resume",
+        Switch,
+        Unset,
+        "keep the served lines already in --out and skip re-spending for ids holding a \
+         recovered grant (needs --ledger-dir and --requests)",
+    ),
+    flag(
+        "metrics-out",
+        Value,
+        Unset,
+        "file the stats snapshot is rewritten to every 64 completed requests and at drain",
+    ),
+];
 
 /// Prints each durable shard's recovery, checkpoint and group-commit statistics
 /// for the serving command's human summary.
-fn print_ledger_stats<W: std::io::Write>(
-    out: &mut W,
+fn print_ledger_stats(
+    out: &mut dyn Write,
     registry: &dpx_serve::DatasetRegistry,
 ) -> Result<(), CliError> {
     for (shard, stats) in registry.shards().stats() {
@@ -131,7 +116,7 @@ fn print_ledger_stats<W: std::io::Write>(
 
 /// Runs the resident explanation daemon (see `dpx_serve::daemon`) over one
 /// registered dataset, on one transport: a `--requests` file, stdin, or a
-/// `--socket`. `serve-batch` is this command with `--requests` required.
+/// `--socket`.
 ///
 /// The file and stdin transports are closed-loop (at most
 /// `--queue-capacity` requests unanswered, appends as barriers), so their
@@ -147,34 +132,26 @@ fn print_ledger_stats<W: std::io::Write>(
 /// lines an interrupted run already flushed to `--out` and skips re-spending
 /// for request ids that hold a recovered grant, so kill-and-rerun converges
 /// on exactly the uninterrupted output without double-charging.
-pub(super) fn serve_daemon<W: std::io::Write>(
-    cli: &Cli,
-    out: &mut W,
-    requests_required: bool,
-) -> Result<(), CliError> {
+pub(super) fn serve_daemon(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
+    use dpx_dp::budget::Epsilon;
     use dpx_runtime::faultpoint::{self, SERVICE_POST_RESPOND};
     use dpx_serve::daemon::{serve_lines, serve_socket, Daemon, DaemonConfig, DaemonReply};
-    use dpx_serve::parse_requests_lenient;
+    use dpx_serve::{parse_requests_lenient, AccountantShards, DatasetRegistry, ShardConfig};
     use std::collections::HashSet;
-    use std::io::Write as _;
     use std::sync::{Arc, Mutex, PoisonError};
 
-    // Daemon-specific flag validation comes before the (expensive) dataset
-    // load so a bad invocation fails fast.
-    let requests_path = cli.opt_string("requests");
-    let socket_path = cli.opt_string("socket");
-    if requests_required && requests_path.is_none() {
-        return Err(CliError::Usage(
-            "serve-batch requires --requests <file.jsonl> (serve-daemon also reads stdin or \
-             a --socket)"
-                .into(),
-        ));
-    }
-    let workers = cli.usize("workers", 2)?.max(1);
-    let queue_capacity = cli.usize("queue-capacity", 32)?;
-    let drain_deadline_ms = cli.u64("drain-deadline-ms", 10_000)?;
-    let metrics_out = cli.opt_string("metrics-out");
-    let metrics_every = cli.u64("metrics-every", 64)?;
+    // Every flag is read and checked before the (expensive) dataset load,
+    // so a bad invocation fails fast.
+    let requests_path = cli.opt_str("requests");
+    let socket_path = cli.opt_str("socket");
+    let workers = cli.get::<usize>("workers")?.max(1);
+    let queue_capacity = cli.get("queue-capacity")?;
+    let drain_deadline_ms = cli.get("drain-deadline-ms")?;
+    let deadline_ms = cli.opt("deadline-ms")?;
+    let metrics_out = cli.opt_str("metrics-out");
+    let ledger_dir = cli.opt_str("ledger-dir");
+    let checkpoint_every = cli.opt("checkpoint-every")?;
+    let resume = cli.bool("resume");
     if queue_capacity == 0 {
         return Err(CliError::Usage(
             "--queue-capacity must be positive (a zero-slot daemon can admit nothing)".into(),
@@ -187,22 +164,62 @@ pub(super) fn serve_daemon<W: std::io::Write>(
                 .into(),
         ));
     }
-    if cli.bool("resume") && requests_path.is_none() {
+    if resume && requests_path.is_none() {
         return Err(CliError::Usage(
             "--resume requires --requests (the request file is replayed with already-served \
              ids skipped; a socket or stdin stream cannot be replayed)"
                 .into(),
         ));
     }
-    let setup = open_serving_setup(cli)?;
-    let out_path = cli.required("out")?.to_string();
+    if resume && ledger_dir.is_none() {
+        return Err(CliError::Usage(
+            "--resume requires --ledger-dir (there is no grant log to resume from)".into(),
+        ));
+    }
+    if let Some(every) = checkpoint_every {
+        if ledger_dir.is_none() {
+            return Err(CliError::Usage(
+                "--checkpoint-every requires --ledger-dir (nothing to checkpoint in memory)".into(),
+            ));
+        }
+        if every == 0 {
+            return Err(CliError::Usage(
+                "--checkpoint-every must be positive".into(),
+            ));
+        }
+    }
+    let cap = cli.opt("budget")?.map(Epsilon::new).transpose()?;
+    let name = cli.str("name")?;
+    let out_path = cli.str("out")?;
+    let data = Arc::new(load(cli)?);
+
+    // With --ledger-dir, registering the dataset recovers its shard's
+    // write-ahead ledger; the recovered grants are the ids that skip the
+    // spend.
+    let (registry, entry) = match ledger_dir {
+        Some(dir) => {
+            let shards = AccountantShards::in_dir(std::path::Path::new(dir))?;
+            let registry = Arc::new(DatasetRegistry::with_shards(Arc::new(shards)));
+            let config = ShardConfig {
+                cap,
+                checkpoint_every,
+            };
+            let entry = registry.register_sharded(name, data, config)?;
+            (registry, entry)
+        }
+        None => {
+            let registry = Arc::new(DatasetRegistry::new());
+            let entry = registry.register(name, data, cap);
+            (registry, entry)
+        }
+    };
 
     // --resume keeps served (ok) response lines and skips their ids on the
     // replayed request stream. Error lines are never kept: re-answering a
     // reject or a failed request is deterministic and charges nothing a
     // recovered grant does not already cover. Appends always re-execute —
     // their effect is in-memory dataset state.
-    let append_ids: HashSet<u64> = match (&requests_path, setup.resume) {
+    let append_ids: HashSet<u64> = match (requests_path, resume) {
         (Some(path), true) => {
             let (requests, _) = parse_requests_lenient(BufReader::new(File::open(path)?))?;
             requests
@@ -213,8 +230,8 @@ pub(super) fn serve_daemon<W: std::io::Write>(
         }
         _ => HashSet::new(),
     };
-    let kept: Vec<(u64, String)> = if setup.resume {
-        read_kept_responses(&out_path)?
+    let kept: Vec<(u64, String)> = if resume {
+        read_kept_responses(out_path)?
             .into_iter()
             .filter(|(id, _)| !append_ids.contains(id))
             .filter(|(_, line)| line.contains("\"ok\":true"))
@@ -228,14 +245,12 @@ pub(super) fn serve_daemon<W: std::io::Write>(
         workers,
         queue_capacity,
         drain_deadline_ms,
-        deadline_ms: setup.deadline_ms,
-        granted: setup.granted.clone(),
-        checkpoint_every: setup.checkpoint_every,
-        metrics_out: metrics_out.as_ref().map(std::path::PathBuf::from),
-        metrics_every,
-        ..Default::default()
+        deadline_ms,
+        granted: entry.accountant().granted_ids().into_iter().collect(),
+        checkpoint_every,
+        metrics_out: metrics_out.map(std::path::PathBuf::from),
     };
-    let daemon = Daemon::new(Arc::clone(&setup.registry), config);
+    let daemon = Daemon::new(Arc::clone(&registry), config);
     let handles = daemon.start();
 
     // The durable response stream: kept lines are re-written first, then
@@ -243,7 +258,7 @@ pub(super) fn serve_daemon<W: std::io::Write>(
     // crash loses at most the in-flight lines. Control replies (stats and
     // shutdown acks) are buffered for the human summary instead; they are
     // scheduling-dependent snapshots and must never touch this stream.
-    let mut stream = BufWriter::new(File::create(&out_path)?);
+    let mut stream = BufWriter::new(File::create(out_path)?);
     for (_, line) in &kept {
         writeln!(stream, "{line}")?;
     }
@@ -276,7 +291,7 @@ pub(super) fn serve_daemon<W: std::io::Write>(
         })
     };
 
-    match (&requests_path, &socket_path) {
+    match (requests_path, socket_path) {
         (Some(path), None) => {
             serve_lines(
                 &daemon,
@@ -317,13 +332,13 @@ pub(super) fn serve_daemon<W: std::io::Write>(
     );
     lines.sort_by_key(|&(id, rank, _)| (id, rank));
     drop(stream);
-    let mut writer = BufWriter::new(File::create(&out_path)?);
+    let mut writer = BufWriter::new(File::create(out_path)?);
     for (_, _, line) in &lines {
         writeln!(writer, "{line}")?;
     }
     writer.flush()?;
 
-    if setup.resume {
+    if resume {
         writeln!(
             out,
             "resumed: kept {} previously served responses, re-ran {}",
@@ -347,10 +362,10 @@ pub(super) fn serve_daemon<W: std::io::Write>(
     writeln!(
         out,
         "counts cache: {} single-flight waits joined an in-flight build",
-        setup.entry.cache().singleflight_hits()
+        entry.cache().singleflight_hits()
     )?;
-    if setup.ledger_dir.is_some() {
-        print_ledger_stats(out, &setup.registry)?;
+    if ledger_dir.is_some() {
+        print_ledger_stats(out, &registry)?;
     }
     if !summary.clean() {
         return Err(CliError::Usage(format!(
@@ -420,30 +435,51 @@ fn read_kept_responses(path: &str) -> Result<Vec<(u64, String)>, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::tests::{run_cli, tmpdir};
+    use crate::commands::tests::{generated, run_cli, run_on, tmpdir};
+    use std::path::{Path, PathBuf};
+
+    /// Writes `body` as the request file `name` in the test directory.
+    fn request_file(name: &str, body: &str) -> PathBuf {
+        let path = tmpdir().join(name);
+        std::fs::write(&path, body).unwrap();
+        path
+    }
+
+    /// Runs `serve-daemon` over the generated `(csv, schema)` and the request
+    /// file `reqs` into `resp`, with `extra` flags.
+    fn serve_file(data: &(String, String), reqs: &Path, resp: &Path, extra: &[&str]) -> String {
+        let files = [
+            "--requests",
+            reqs.to_str().unwrap(),
+            "--out",
+            resp.to_str().unwrap(),
+        ];
+        run_on("serve-daemon", data, &[&files[..], extra].concat()).unwrap()
+    }
+
+    /// The usage error `args` is refused with.
+    fn usage_error(args: &[&str]) -> String {
+        match run_cli(args) {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("{args:?}: want usage error, got {other:?}"),
+        }
+    }
+
+    /// A coded row of the generated CSV with every attribute at `code`, as
+    /// a JSON array (codes start at 0, so "0" is valid for every attribute).
+    fn row_of(csv: &str, code: &str) -> String {
+        let header = std::fs::read_to_string(csv).unwrap();
+        let arity = header.lines().next().unwrap().split(',').count();
+        format!("[{}]", vec![code; arity].join(","))
+    }
 
     #[test]
     fn batch_is_byte_identical_across_worker_counts() {
-        let dir = tmpdir();
-        let prefix = dir.join("served");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "900",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        let reqs = dir.join("served-reqs.jsonl");
+        let data = generated("diabetes", "served", "900");
         // Unsorted ids, a shared clustering (cache reuse), a per-request
         // kernel override, and one bad request that must fail alone.
-        std::fs::write(
-            &reqs,
+        let reqs = request_file(
+            "served-reqs.jsonl",
             concat!(
                 "{\"id\": 7, \"seed\": 1, \"n_clusters\": 3}\n",
                 "# comment line\n",
@@ -451,26 +487,11 @@ mod tests {
                 "{\"id\": 5, \"seed\": 3, \"n_clusters\": 2, \"stage2_kernel\": \"counter\"}\n",
                 "{\"id\": 1, \"seed\": 4, \"cluster_by\": 9999}\n",
             ),
-        )
-        .unwrap();
+        );
         let mut outputs = Vec::new();
         for workers in ["1", "2", "7"] {
-            let resp = dir.join(format!("served-resp-{workers}.jsonl"));
-            let resp_s = resp.to_str().unwrap();
-            let text = run_cli(&[
-                "serve-batch",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp_s,
-                "--workers",
-                workers,
-            ])
-            .unwrap();
+            let resp = tmpdir().join(format!("served-resp-{workers}.jsonl"));
+            let text = serve_file(&data, &reqs, &resp, &["--workers", workers]);
             assert!(text.contains("served 3, rejected 1, shed 0"), "{text}");
             outputs.push(std::fs::read(&resp).unwrap());
         }
@@ -487,58 +508,31 @@ mod tests {
     }
 
     #[test]
-    fn serve_daemon_drains_cleanly_and_matches_serve_batch_bytes() {
-        let dir = tmpdir();
-        let prefix = dir.join("daemon");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "700",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
+    fn serve_daemon_drains_cleanly_and_control_lines_leave_the_stream_unchanged() {
+        let data = generated("diabetes", "daemon", "700");
         let explains = concat!(
             "{\"id\": 7, \"seed\": 1, \"n_clusters\": 3}\n",
             "# comment lines are skipped by both front ends\n",
             "{\"id\": 2, \"seed\": 2, \"n_clusters\": 3}\n",
             "{\"id\": 5, \"seed\": 3, \"n_clusters\": 2}\n",
         );
-        let daemon_reqs = dir.join("daemon-reqs.jsonl");
-        std::fs::write(
-            &daemon_reqs,
-            format!(
+        let daemon_reqs = request_file(
+            "daemon-reqs.jsonl",
+            &format!(
                 "{explains}{}\n{}\n",
                 "{\"id\": 90, \"op\": \"stats\"}", "{\"id\": 91, \"op\": \"shutdown\"}"
             ),
-        )
-        .unwrap();
-        let batch_reqs = dir.join("batch-reqs.jsonl");
-        std::fs::write(&batch_reqs, explains).unwrap();
+        );
+        let batch_reqs = request_file("batch-reqs.jsonl", explains);
 
-        let daemon_resp = dir.join("daemon-resp.jsonl");
-        let metrics = dir.join("daemon-stats.json");
-        let text = run_cli(&[
-            "serve-daemon",
-            "--data",
-            &csv,
-            "--schema",
-            &schema,
-            "--requests",
-            daemon_reqs.to_str().unwrap(),
-            "--out",
-            daemon_resp.to_str().unwrap(),
-            "--workers",
-            "2",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ])
-        .unwrap();
+        let daemon_resp = tmpdir().join("daemon-resp.jsonl");
+        let metrics = tmpdir().join("daemon-stats.json");
+        let text = serve_file(
+            &data,
+            &daemon_reqs,
+            &daemon_resp,
+            &["--workers", "2", "--metrics-out", metrics.to_str().unwrap()],
+        );
         assert!(text.contains("daemon drained (shutdown op)"), "{text}");
         assert!(text.contains("served 3, rejected 0, shed 0"), "{text}");
         assert!(text.contains("probe violations: 0"), "{text}");
@@ -546,28 +540,14 @@ mod tests {
         assert!(text.contains("\"op\":\"stats\""), "{text}");
         assert!(text.contains("\"queue_depth\":"), "{text}");
 
-        // The daemon's durable stream is byte-identical to a serve-batch
-        // run over the same explains without the control lines: same
-        // responses, sorted by id.
-        let batch_resp = dir.join("batch-resp.jsonl");
-        run_cli(&[
-            "serve-batch",
-            "--data",
-            &csv,
-            "--schema",
-            &schema,
-            "--requests",
-            batch_reqs.to_str().unwrap(),
-            "--out",
-            batch_resp.to_str().unwrap(),
-            "--workers",
-            "1",
-        ])
-        .unwrap();
+        // The durable stream is byte-identical to a run over the same
+        // explains without the control lines: same responses, sorted by id.
+        let batch_resp = tmpdir().join("batch-resp.jsonl");
+        serve_file(&data, &batch_reqs, &batch_resp, &["--workers", "1"]);
         assert_eq!(
             std::fs::read(&daemon_resp).unwrap(),
             std::fs::read(&batch_resp).unwrap(),
-            "daemon and batch streams diverged"
+            "control lines changed the durable stream"
         );
         let body = std::fs::read_to_string(&daemon_resp).unwrap();
         assert!(
@@ -587,32 +567,15 @@ mod tests {
         }
 
         // A removed Stage-2 selector is one typed bad_line reject echoing
-        // its id, identically from both front ends.
-        let removed = dir.join("removed-kernel.jsonl");
-        std::fs::write(
-            &removed,
+        // its id.
+        let removed = request_file(
+            "removed-kernel.jsonl",
             "{\"id\": 4, \"stage2_kernel\": \"counter-par/3\"}\n",
-        )
-        .unwrap();
-        let mut streams = Vec::new();
-        for command in ["serve-daemon", "serve-batch"] {
-            let out = dir.join(format!("removed-{command}.jsonl"));
-            run_cli(&[
-                command,
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--requests",
-                removed.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-            ])
-            .unwrap();
-            streams.push(std::fs::read_to_string(&out).unwrap());
-        }
-        assert_eq!(streams[0], streams[1], "daemon and batch rejects diverged");
-        let lines: Vec<&str> = streams[0].lines().collect();
+        );
+        let out = tmpdir().join("removed-kernel-resp.jsonl");
+        serve_file(&data, &removed, &out, &[]);
+        let stream = std::fs::read_to_string(&out).unwrap();
+        let lines: Vec<&str> = stream.lines().collect();
         assert_eq!(lines.len(), 1, "{lines:?}");
         assert!(
             lines[0].starts_with("{\"id\":4,\"ok\":false"),
@@ -625,75 +588,30 @@ mod tests {
 
     #[test]
     fn serve_daemon_validates_its_transport_and_queue_flags() {
-        let err = run_cli(&["serve-daemon", "--queue-capacity", "0"]).unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("--queue-capacity"), "{m}"),
-            other => panic!("want usage error, got {other:?}"),
-        }
-        let err = run_cli(&[
+        let m = usage_error(&["serve-daemon", "--queue-capacity", "0"]);
+        assert!(m.contains("--queue-capacity"), "{m}");
+        let m = usage_error(&[
             "serve-daemon",
             "--requests",
             "a.jsonl",
             "--socket",
             "b.sock",
-        ])
-        .unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("mutually exclusive"), "{m}"),
-            other => panic!("want usage error, got {other:?}"),
-        }
-        let err = run_cli(&["serve-daemon", "--resume", "--ledger-dir", "x"]).unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("--resume requires --requests"), "{m}"),
-            other => panic!("want usage error, got {other:?}"),
-        }
-        // serve-batch is the daemon on a request file: the file is required.
-        let err = run_cli(&["serve-batch", "--workers", "2"]).unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("requires --requests"), "{m}"),
-            other => panic!("want usage error, got {other:?}"),
-        }
+        ]);
+        assert!(m.contains("mutually exclusive"), "{m}");
+        let m = usage_error(&["serve-daemon", "--resume", "--ledger-dir", "x"]);
+        assert!(m.contains("--resume requires --requests"), "{m}");
     }
 
     #[test]
     fn batch_budget_cap_limits_accepted_requests() {
-        let dir = tmpdir();
-        let prefix = dir.join("capped");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("capped-reqs.jsonl");
-        std::fs::write(
-            &reqs,
+        let data = generated("diabetes", "capped", "400");
+        let reqs = request_file(
+            "capped-reqs.jsonl",
             "{\"id\": 1}\n{\"id\": 2}\n{\"id\": 3}\n{\"id\": 4}\n",
-        )
-        .unwrap();
-        let resp = dir.join("capped-resp.jsonl");
+        );
+        let resp = tmpdir().join("capped-resp.jsonl");
         // Each default request costs ε = 0.3; a 0.65 cap admits exactly 2.
-        let text = run_cli(&[
-            "serve-batch",
-            "--data",
-            &format!("{prefix_s}.csv"),
-            "--schema",
-            &format!("{prefix_s}.schema"),
-            "--requests",
-            reqs.to_str().unwrap(),
-            "--out",
-            resp.to_str().unwrap(),
-            "--workers",
-            "1",
-            "--budget",
-            "0.65",
-        ])
-        .unwrap();
+        let text = serve_file(&data, &reqs, &resp, &["--workers", "1", "--budget", "0.65"]);
         assert!(text.contains("served 2, rejected 2, shed 0"), "{text}");
         assert!(
             text.contains("dataset default: spent 0.600000, remaining 0.050000"),
@@ -709,51 +627,27 @@ mod tests {
 
     #[test]
     fn batch_answers_duplicate_id_and_invalid_epsilon_lines() {
-        let dir = tmpdir();
-        let prefix = dir.join("hostile");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("hostile-reqs.jsonl");
+        let data = generated("diabetes", "hostile", "400");
         // id 1 is claimed, replayed (must reject, original still served),
         // and id 9 asks for a negative ε (must reject at the wire).
-        std::fs::write(
-            &reqs,
+        let reqs = request_file(
+            "hostile-reqs.jsonl",
             concat!(
                 "{\"id\": 1, \"seed\": 3}\n",
                 "{\"id\": 2}\n",
                 "{\"id\": 1, \"seed\": 99}\n",
                 "{\"id\": 9, \"eps_cand\": -0.5}\n",
             ),
-        )
-        .unwrap();
-        let resp = dir.join("hostile-resp.jsonl");
+        );
+        let resp = tmpdir().join("hostile-resp.jsonl");
         let mut outputs = Vec::new();
         for workers in ["1", "3"] {
-            let text = run_cli(&[
-                "serve-batch",
-                "--data",
-                &format!("{prefix_s}.csv"),
-                "--schema",
-                &format!("{prefix_s}.schema"),
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp.to_str().unwrap(),
-                "--workers",
-                workers,
-                "--budget",
-                "2.0",
-            ])
-            .unwrap();
+            let text = serve_file(
+                &data,
+                &reqs,
+                &resp,
+                &["--workers", workers, "--budget", "2.0"],
+            );
             assert!(text.contains("served 2, rejected 2, shed 0"), "{text}");
             outputs.push(std::fs::read(&resp).unwrap());
         }
@@ -806,59 +700,21 @@ mod tests {
 
     #[test]
     fn batch_appends_grow_the_dataset_and_always_rerun_on_resume() {
-        let dir = tmpdir();
-        let prefix = dir.join("grown");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        // A row of zeros is valid for every attribute (codes start at 0);
-        // the CSV header tells us the arity.
-        let header = std::fs::read_to_string(&csv)
-            .unwrap()
-            .lines()
-            .next()
-            .unwrap()
-            .to_string();
-        let arity = header.split(',').count();
-        let row = format!("[{}]", vec!["0"; arity].join(","));
-        let reqs = dir.join("grown-reqs.jsonl");
-        std::fs::write(
-            &reqs,
-            format!(
+        let data = generated("diabetes", "grown", "400");
+        let row = row_of(&data.0, "0");
+        let reqs = request_file(
+            "grown-reqs.jsonl",
+            &format!(
                 "{{\"id\": 1, \"n_clusters\": 3}}\n\
                  {{\"id\": 2, \"op\": \"append\", \"rows\": [{row}, {row}]}}\n\
                  {{\"id\": 3, \"n_clusters\": 3, \"seed\": 9}}\n"
             ),
-        )
-        .unwrap();
+        );
         // Byte-identical across worker counts, with the append as a barrier.
         let mut outputs = Vec::new();
         for workers in ["1", "3"] {
-            let resp = dir.join(format!("grown-resp-{workers}.jsonl"));
-            let text = run_cli(&[
-                "serve-batch",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp.to_str().unwrap(),
-                "--workers",
-                workers,
-            ])
-            .unwrap();
+            let resp = tmpdir().join(format!("grown-resp-{workers}.jsonl"));
+            let text = serve_file(&data, &reqs, &resp, &["--workers", workers]);
             assert!(text.contains("served 3, rejected 0, shed 0"), "{text}");
             outputs.push(std::fs::read(&resp).unwrap());
         }
@@ -872,32 +728,17 @@ mod tests {
         // A resumed run keeps the explain lines but always re-executes the
         // append (the grown dataset lives in memory only), converging on the
         // same output without re-spending the kept explains' ε.
-        let ledger = dir.join("grown-ledger");
-        let resp = dir.join("grown-resp-durable.jsonl");
-        let durable = |resume: bool| {
-            let mut args = vec![
-                "serve-batch",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp.to_str().unwrap(),
-                "--workers",
-                "2",
-                "--ledger-dir",
-                ledger.to_str().unwrap(),
-            ];
-            if resume {
-                args.push("--resume");
-            }
-            run_cli(&args).unwrap()
-        };
-        durable(false);
+        let ledger = tmpdir().join("grown-ledger");
+        let resp = tmpdir().join("grown-resp-durable.jsonl");
+        let flags = ["--workers", "2", "--ledger-dir", ledger.to_str().unwrap()];
+        serve_file(&data, &reqs, &resp, &flags);
         let first = std::fs::read(&resp).unwrap();
-        let text = durable(true);
+        let text = serve_file(
+            &data,
+            &reqs,
+            &resp,
+            &[&flags[..], &["--resume"][..]].concat(),
+        );
         assert!(
             text.contains("resumed: kept 2 previously served responses, re-ran 1"),
             "{text}"
@@ -912,59 +753,25 @@ mod tests {
 
     #[test]
     fn batch_ledger_recovers_and_resume_completes_a_torn_run() {
-        let dir = tmpdir();
-        let prefix = dir.join("durable");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("durable-reqs.jsonl");
-        std::fs::write(
-            &reqs,
+        let data = generated("diabetes", "durable", "400");
+        let reqs = request_file(
+            "durable-reqs.jsonl",
             "{\"id\": 1}\n{\"id\": 2}\n{\"id\": 3}\n{\"id\": 4}\n",
-        )
-        .unwrap();
-        let resp = dir.join("durable-resp.jsonl");
-        let ledger_dir = dir.join("durable-ledger");
-        let args = |extra: &[&str]| -> Vec<String> {
-            let mut v: Vec<String> = [
-                "serve-batch",
-                "--data",
-                &format!("{prefix_s}.csv"),
-                "--schema",
-                &format!("{prefix_s}.schema"),
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp.to_str().unwrap(),
-                "--workers",
-                "2",
-                "--budget",
-                "10",
-                "--ledger-dir",
-                ledger_dir.to_str().unwrap(),
-                "--checkpoint-every",
-                "3",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            v.extend(extra.iter().map(|s| s.to_string()));
-            v
-        };
-        let run = |extra: &[&str]| {
-            let argv = args(extra);
-            run_cli(&argv.iter().map(String::as_str).collect::<Vec<_>>())
-        };
+        );
+        let resp = tmpdir().join("durable-resp.jsonl");
+        let ledger_dir = tmpdir().join("durable-ledger");
+        let flags = [
+            "--workers",
+            "2",
+            "--budget",
+            "10",
+            "--ledger-dir",
+            ledger_dir.to_str().unwrap(),
+            "--checkpoint-every",
+            "3",
+        ];
 
-        let text = run(&[]).unwrap();
+        let text = serve_file(&data, &reqs, &resp, &flags);
         assert!(text.contains("served 4, rejected 0, shed 0"), "{text}");
         assert!(
             text.contains("dataset default: spent 1.200000, remaining 8.800000"),
@@ -995,7 +802,12 @@ mod tests {
         torn.push_str("{\"id\":9"); // mid-write fragment, no newline
         std::fs::write(&resp, &torn).unwrap();
 
-        let text = run(&["--resume"]).unwrap();
+        let text = serve_file(
+            &data,
+            &reqs,
+            &resp,
+            &[&flags[..], &["--resume"][..]].concat(),
+        );
         assert!(
             text.contains("resumed: kept 2 previously served responses, re-ran 2"),
             "{text}"
@@ -1023,87 +835,46 @@ mod tests {
 
     #[test]
     fn batch_resume_requires_a_ledger() {
-        let err = run_cli(&["serve-batch", "--requests", "r.jsonl", "--resume"]).unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("--resume requires --ledger-dir"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
+        let m = usage_error(&["serve-daemon", "--requests", "r.jsonl", "--resume"]);
+        assert!(m.contains("--resume requires --ledger-dir"), "{m}");
     }
 
     #[test]
     fn batch_rejects_the_removed_single_file_ledger_flag() {
-        let err =
-            run_cli(&["serve-batch", "--requests", "r.jsonl", "--ledger", "x.wal"]).unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("--ledger-dir"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
+        let m = usage_error(&["serve-daemon", "--requests", "r.jsonl", "--ledger", "x.wal"]);
+        assert!(m.contains("serve-daemon: unknown flag --ledger"), "{m}");
     }
 
     #[test]
     fn batch_checkpoint_every_requires_a_ledger_dir() {
-        let err = run_cli(&[
-            "serve-batch",
+        let m = usage_error(&[
+            "serve-daemon",
             "--requests",
             "r.jsonl",
             "--checkpoint-every",
             "4",
-        ])
-        .unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("requires --ledger-dir"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
+        ]);
+        assert!(m.contains("requires --ledger-dir"), "{m}");
     }
 
     #[test]
     fn batch_group_committed_ledger_preserves_output() {
-        let dir = tmpdir();
-        let prefix = dir.join("grouped");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("grouped-reqs.jsonl");
+        let data = generated("diabetes", "grouped", "400");
         let lines: String = (1..=6).map(|id| format!("{{\"id\": {id}}}\n")).collect();
-        std::fs::write(&reqs, lines).unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        let serve = |resp: &str, extra: &[&str]| {
-            let mut args = vec![
-                "serve-batch",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--requests",
-                reqs.to_str().unwrap(),
-                "--out",
-                resp,
-                "--workers",
-                "4",
-            ];
-            args.extend_from_slice(extra);
-            run_cli(&args).unwrap()
-        };
+        let reqs = request_file("grouped-reqs.jsonl", &lines);
         // In-memory reference vs group-committed durable run: the response
         // stream must be byte-identical (batching changes fsync scheduling,
         // never results).
-        let base_resp = dir.join("grouped-base.jsonl");
-        let grouped_resp = dir.join("grouped-batched.jsonl");
-        let text = serve(base_resp.to_str().unwrap(), &[]);
+        let base_resp = tmpdir().join("grouped-base.jsonl");
+        let grouped_resp = tmpdir().join("grouped-batched.jsonl");
+        let text = serve_file(&data, &reqs, &base_resp, &["--workers", "4"]);
         assert!(text.contains("served 6, rejected 0, shed 0"), "{text}");
-        let ledger = dir.join("grouped-ledger-gc");
-        let text = serve(
-            grouped_resp.to_str().unwrap(),
-            &["--ledger-dir", ledger.to_str().unwrap()],
+        let ledger = tmpdir().join("grouped-ledger-gc");
+        let text = serve_file(
+            &data,
+            &reqs,
+            &grouped_resp,
+            &["--workers", "4", "--ledger-dir", ledger.to_str().unwrap()],
         );
         assert!(text.contains("served 6, rejected 0, shed 0"), "{text}");
         assert!(text.contains("grants/fsync"), "{text}");
@@ -1117,40 +888,15 @@ mod tests {
 
     #[test]
     fn batch_deadline_times_out_requests_without_spending() {
-        let dir = tmpdir();
-        let prefix = dir.join("deadline");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "400",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("deadline-reqs.jsonl");
-        std::fs::write(&reqs, "{\"id\": 1}\n{\"id\": 2}\n").unwrap();
-        let resp = dir.join("deadline-resp.jsonl");
-        let text = run_cli(&[
-            "serve-batch",
-            "--data",
-            &format!("{prefix_s}.csv"),
-            "--schema",
-            &format!("{prefix_s}.schema"),
-            "--requests",
-            reqs.to_str().unwrap(),
-            "--out",
-            resp.to_str().unwrap(),
-            "--workers",
-            "1",
-            "--budget",
-            "1.0",
-            "--deadline-ms",
-            "0",
-        ])
-        .unwrap();
+        let data = generated("diabetes", "deadline", "400");
+        let reqs = request_file("deadline-reqs.jsonl", "{\"id\": 1}\n{\"id\": 2}\n");
+        let resp = tmpdir().join("deadline-resp.jsonl");
+        let text = serve_file(
+            &data,
+            &reqs,
+            &resp,
+            &["--workers", "1", "--budget", "1.0", "--deadline-ms", "0"],
+        );
         assert!(text.contains("served 0, rejected 2, shed 0"), "{text}");
         // An already-expired deadline is caught before the grant commits:
         // the requests are turned away with the cap's full headroom intact.
@@ -1165,37 +911,13 @@ mod tests {
 
     #[test]
     fn batch_answers_an_id_less_line_with_a_control_reply() {
-        let dir = tmpdir();
-        let prefix = dir.join("badreq");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "so",
-            "--rows",
-            "200",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let reqs = dir.join("badreq.jsonl");
-        std::fs::write(&reqs, "{\"id\": 1}\nnot json at all\n").unwrap();
-        let resp = dir.join("badreq-out.jsonl");
+        let data = generated("so", "badreq", "200");
+        let reqs = request_file("badreq.jsonl", "{\"id\": 1}\nnot json at all\n");
+        let resp = tmpdir().join("badreq-out.jsonl");
         // A line with no parseable id cannot be keyed on the response
         // stream: it gets the daemon's control answer in the summary, and
         // the rest of the file is still served.
-        let text = run_cli(&[
-            "serve-batch",
-            "--data",
-            &format!("{prefix_s}.csv"),
-            "--schema",
-            &format!("{prefix_s}.schema"),
-            "--requests",
-            reqs.to_str().unwrap(),
-            "--out",
-            resp.to_str().unwrap(),
-        ])
-        .unwrap();
+        let text = serve_file(&data, &reqs, &resp, &[]);
         assert!(text.contains("served 1, rejected 1, shed 0"), "{text}");
         let control = text
             .lines()
@@ -1207,59 +929,17 @@ mod tests {
         assert!(body.starts_with("{\"id\":1,\"ok\":true"), "{body}");
     }
 
-    /// Generates a Diabetes CSV + schema of `rows` rows under `name` and
-    /// returns their paths.
-    fn generated(name: &str, rows: &str) -> (String, String) {
-        let prefix = tmpdir().join(name);
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            rows,
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        (format!("{prefix_s}.csv"), format!("{prefix_s}.schema"))
-    }
-
-    /// Runs `serve-batch` over `reqs` into `resp` with `extra` flags.
-    fn serve_file(csv: &str, schema: &str, reqs: &str, resp: &str, extra: &[&str]) -> String {
-        let mut args = vec![
-            "serve-batch",
-            "--data",
-            csv,
-            "--schema",
-            schema,
-            "--requests",
-            reqs,
-            "--out",
-            resp,
-        ];
-        args.extend_from_slice(extra);
-        run_cli(&args).unwrap()
-    }
-
     #[test]
     fn batch_answers_a_long_file_at_the_default_queue_capacity() {
-        let (csv, schema) = generated("long", "300");
-        let reqs = tmpdir().join("long-reqs.jsonl");
+        let data = generated("diabetes", "long", "300");
         let lines: String = (1..=200)
             .map(|id| format!("{{\"id\": {id}, \"seed\": {id}}}\n"))
             .collect();
-        std::fs::write(&reqs, lines).unwrap();
+        let reqs = request_file("long-reqs.jsonl", &lines);
         let resp = tmpdir().join("long-resp.jsonl");
         // Default workers (2) and queue capacity (32): the file transport
         // never has more than 32 requests unanswered, so none is shed.
-        let text = serve_file(
-            &csv,
-            &schema,
-            reqs.to_str().unwrap(),
-            resp.to_str().unwrap(),
-            &[],
-        );
+        let text = serve_file(&data, &reqs, &resp, &[]);
         assert!(text.contains("served 200, rejected 0, shed 0"), "{text}");
         let body = std::fs::read_to_string(&resp).unwrap();
         assert_eq!(body.lines().count(), 200);
@@ -1269,16 +949,8 @@ mod tests {
 
     #[test]
     fn batch_appends_are_barriers_at_any_worker_count() {
-        let (csv, schema) = generated("barrier", "500");
-        let arity = std::fs::read_to_string(&csv)
-            .unwrap()
-            .lines()
-            .next()
-            .unwrap()
-            .split(',')
-            .count();
-        let row = format!("[{}]", vec!["1"; arity].join(","));
-        let rows = vec![row; 25].join(",");
+        let data = generated("diabetes", "barrier", "500");
+        let rows = vec![row_of(&data.0, "1"); 25].join(",");
         let mut lines = String::new();
         let mut id = 0u64;
         for _ in 0..4 {
@@ -1294,18 +966,11 @@ mod tests {
                 "{{\"id\": {id}, \"op\": \"append\", \"rows\": [{rows}]}}\n"
             ));
         }
-        let reqs = tmpdir().join("barrier-reqs.jsonl");
-        std::fs::write(&reqs, lines).unwrap();
+        let reqs = request_file("barrier-reqs.jsonl", &lines);
         let mut outputs = Vec::new();
         for workers in ["1", "2", "7"] {
             let resp = tmpdir().join(format!("barrier-resp-{workers}.jsonl"));
-            let text = serve_file(
-                &csv,
-                &schema,
-                reqs.to_str().unwrap(),
-                resp.to_str().unwrap(),
-                &["--workers", workers],
-            );
+            let text = serve_file(&data, &reqs, &resp, &["--workers", workers]);
             assert!(text.contains("served 28, rejected 0, shed 0"), "{text}");
             outputs.push(std::fs::read_to_string(&resp).unwrap());
         }
@@ -1323,26 +988,18 @@ mod tests {
 
     #[test]
     fn batch_resume_over_a_finished_run_keeps_the_replay_answer() {
-        let (csv, schema) = generated("replayed", "300");
-        let reqs = tmpdir().join("replayed-reqs.jsonl");
+        let data = generated("diabetes", "replayed", "300");
         // id 1 is served, then replayed: the replay's reject sorts after
         // the served line of the same id.
-        std::fs::write(
-            &reqs,
+        let reqs = request_file(
+            "replayed-reqs.jsonl",
             "{\"id\": 1, \"seed\": 3}\n{\"id\": 2}\n{\"id\": 1, \"seed\": 99}\n{\"id\": 0}\n",
-        )
-        .unwrap();
+        );
         let resp = tmpdir().join("replayed-resp.jsonl");
         let ledger = tmpdir().join("replayed-ledger");
         let _ = std::fs::remove_dir_all(&ledger);
         let flags = ["--workers", "2", "--ledger-dir", ledger.to_str().unwrap()];
-        serve_file(
-            &csv,
-            &schema,
-            reqs.to_str().unwrap(),
-            resp.to_str().unwrap(),
-            &flags,
-        );
+        serve_file(&data, &reqs, &resp, &flags);
         let first = std::fs::read_to_string(&resp).unwrap();
         let ids: Vec<(&str, bool)> = first
             .lines()
@@ -1359,14 +1016,11 @@ mod tests {
             "{first}"
         );
         assert!(first.contains("\"reason\":\"duplicate_id\""), "{first}");
-        let mut resumed = flags.to_vec();
-        resumed.push("--resume");
         let text = serve_file(
-            &csv,
-            &schema,
-            reqs.to_str().unwrap(),
-            resp.to_str().unwrap(),
-            &resumed,
+            &data,
+            &reqs,
+            &resp,
+            &[&flags[..], &["--resume"][..]].concat(),
         );
         assert!(
             text.contains("resumed: kept 3 previously served responses, re-ran 1"),

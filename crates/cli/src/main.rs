@@ -1,13 +1,14 @@
 //! `dpclustx` binary entry point.
 
 use dpclustx_cli::args::Cli;
-use dpclustx_cli::commands::run;
+use dpclustx_cli::commands::{run, usage};
 
 fn main() {
-    let cli = match Cli::parse(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match Cli::parse(args.iter().cloned()) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("{e}\n\n{}", dpclustx_cli::USAGE);
+            eprintln!("{e}\n\n{}", usage(args.first().map(String::as_str)));
             std::process::exit(2);
         }
     };

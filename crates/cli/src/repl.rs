@@ -12,13 +12,10 @@ use dpclustx::framework::DpClustXConfig;
 use dpclustx::quality::score::Weights;
 use dpclustx::session::Session;
 use dpclustx::text;
-use dpx_data::csv::read_csv;
 use dpx_data::filter::Filter;
-use dpx_data::schema_io::read_schema;
 use dpx_data::Schema;
 use dpx_dp::budget::Epsilon;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::BufRead;
 
 /// Help text for the interactive prompt.
 pub const SESSION_HELP: &str = "\
@@ -35,21 +32,20 @@ commands (every data-touching command spends privacy budget):
 
 /// Runs the interactive loop, reading commands from `input` and writing to
 /// `out` (stdin/stdout in production; buffers in tests).
-pub fn run_session<I: BufRead, W: std::io::Write>(
+pub fn run_session<I: BufRead>(
     cli: &Cli,
     input: I,
-    out: &mut W,
+    out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
-    let schema_path = cli.required("schema")?.to_string();
-    let data_path = cli.required("data")?.to_string();
-    let schema = read_schema(BufReader::new(File::open(&schema_path)?))?;
-    let data = read_csv(schema.clone(), BufReader::new(File::open(&data_path)?))?;
-    let budget = cli.f64("budget", 1.0)?;
-    let seed = cli.u64("seed", 2025)?;
+    let budget = cli.get("budget")?;
+    let seed = cli.get("seed")?;
+    let kernel = cli.stage2_kernel()?;
     let cap =
         Epsilon::new(budget).map_err(|_| CliError::Usage("--budget must be positive".into()))?;
+    let data = crate::commands::load(cli)?;
+    let schema = data.schema().clone();
     let mut session = Session::new(data, cap, seed);
-    session.set_stage2_kernel(cli.stage2_kernel()?);
+    session.set_stage2_kernel(kernel);
 
     writeln!(
         out,
@@ -178,6 +174,7 @@ mod tests {
     use dpx_data::synth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::fs::File;
     use std::io::BufWriter;
 
     fn world() -> (String, String) {

@@ -1,4 +1,4 @@
-//! The crash matrix: `serve-batch` under every single-point kill.
+//! The crash matrix: `serve-daemon --requests` under every single-point kill.
 //!
 //! For each named fault point on the serving path, a child `dpclustx-cli`
 //! process is armed (via `DPX_CRASH_AT=point:nth`) to abort — no unwinding,
@@ -87,7 +87,7 @@ fn serve_args(
     resume: bool,
 ) -> Vec<String> {
     let mut args = vec![
-        "serve-batch".to_string(),
+        "serve-daemon".to_string(),
         "--data".into(),
         csv.to_string(),
         "--schema".into(),
@@ -339,7 +339,7 @@ fn group_commit_kill_during_abuse_storm_recovers_cleanly() {
 
     let storm_args = |out: &Path, workers: usize, ledger: Option<&Path>| -> Vec<String> {
         let mut args = vec![
-            "serve-batch".to_string(),
+            "serve-daemon".to_string(),
             "--data".into(),
             csv.clone(),
             "--schema".into(),

@@ -204,11 +204,6 @@ impl SharedCountsCache {
         self.lock().is_empty()
     }
 
-    /// Drops all memoized tables.
-    pub fn clear(&self) {
-        self.lock().clear()
-    }
-
     /// The memoized tables for `key`, if present. A hit bumps the key's
     /// recency, so hot clusterings survive eviction in a bounded cache.
     pub fn get(&self, key: &CountsKey) -> Option<Arc<CountedTables>> {
@@ -354,12 +349,6 @@ impl ExplainContext {
         }
     }
 
-    /// A handle to this context's counts cache (share it with another
-    /// context via [`ExplainContext::with_shared_cache`]).
-    pub fn shared_cache(&self) -> Arc<SharedCountsCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// The dataset under explanation.
     pub fn data(&self) -> &Dataset {
         &self.data
@@ -375,11 +364,6 @@ impl ExplainContext {
         self.fingerprint
     }
 
-    /// The context's master RNG.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// Simultaneous access to the dataset and the RNG — for callers (like the
     /// interactive session) that feed the data into a mechanism drawing from
     /// the context's randomness.
@@ -390,11 +374,6 @@ impl ExplainContext {
     /// Number of memoized clusterings (in the possibly-shared cache).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Drops all memoized tables (from the possibly-shared cache).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// The tables for a clustering: served from cache when the same

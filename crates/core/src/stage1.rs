@@ -61,22 +61,6 @@ pub fn select_candidates<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Non-private variant used by the TabEE baseline and by diagnostics such as
-/// the ranked-candidate view of Figure 4: exact top-`k` attributes per
-/// cluster by true single-cluster score.
-pub fn select_candidates_exact(st: &ScoreTable, gamma: (f64, f64), k: usize) -> CandidateSets {
-    let n_attrs = st.n_attributes();
-    let k = k.min(n_attrs);
-    (0..st.n_clusters())
-        .map(|c| {
-            let mut scored: Vec<(usize, f64)> =
-                (0..n_attrs).map(|a| (a, sscore(st, c, a, gamma))).collect();
-            scored.sort_by(|x, y| y.1.total_cmp(&x.1));
-            scored.into_iter().take(k).map(|(a, _)| a).collect()
-        })
-        .collect()
-}
-
 /// Full ranked list of `(attribute, score)` for one cluster, best first —
 /// the data behind Figure 4's ranked candidates.
 pub fn rank_attributes(st: &ScoreTable, c: usize, gamma: (f64, f64)) -> Vec<(usize, f64)> {
@@ -93,6 +77,22 @@ mod tests {
     use crate::counts::AttrCounts;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Exact (non-private) top-`k` attributes per cluster by true
+    /// single-cluster score — the oracle the private selection is checked
+    /// against.
+    fn select_candidates_exact(st: &ScoreTable, gamma: (f64, f64), k: usize) -> CandidateSets {
+        let n_attrs = st.n_attributes();
+        let k = k.min(n_attrs);
+        (0..st.n_clusters())
+            .map(|c| {
+                let mut scored: Vec<(usize, f64)> =
+                    (0..n_attrs).map(|a| (a, sscore(st, c, a, gamma))).collect();
+                scored.sort_by(|x, y| y.1.total_cmp(&x.1));
+                scored.into_iter().take(k).map(|(a, _)| a).collect()
+            })
+            .collect()
+    }
 
     /// 2 clusters (sizes 100 / 200) × 4 attributes with *strictly* ordered
     /// single-cluster scores: attribute 0 best for both clusters, then 1,

@@ -363,41 +363,6 @@ pub fn select_combination_counter<R: Rng + ?Sized>(
     Ok((to_attributes(candidates, &best_choice), total))
 }
 
-/// Exhaustive non-private argmax over the combination space — the TabEE
-/// baseline's Stage-2 and the reference for tests.
-pub fn select_combination_exact(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-) -> AttributeCombination {
-    assert!(!candidates.is_empty() && candidates.iter().all(|s| !s.is_empty()));
-    let cache = GlScoreCache::build(st, candidates, weights);
-    let n = candidates.len();
-    let mut best_choice = vec![0usize; n];
-    let mut best_val = f64::NEG_INFINITY;
-    let mut choice = vec![0usize; n];
-    loop {
-        let score = cache.glscore_cached(&choice);
-        if score > best_val {
-            best_val = score;
-            best_choice.copy_from_slice(&choice);
-        }
-        // Odometer increment.
-        let mut pos = n;
-        loop {
-            if pos == 0 {
-                return to_attributes(candidates, &best_choice);
-            }
-            pos -= 1;
-            choice[pos] += 1;
-            if choice[pos] < candidates[pos].len() {
-                break;
-            }
-            choice[pos] = 0;
-        }
-    }
-}
-
 /// Releases the noisy histograms for a selected combination (Algorithm 2,
 /// lines 6–15) and assembles the global explanation. Spends exactly
 /// `eps_hist`, recorded on `accountant`.
@@ -544,6 +509,41 @@ mod tests {
     use dpx_dp::histogram::GeometricHistogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Exhaustive non-private argmax over the combination space — the oracle
+    /// the private and pruned searches are checked against.
+    fn select_combination_exact(
+        st: &ScoreTable,
+        candidates: &[Vec<usize>],
+        weights: Weights,
+    ) -> AttributeCombination {
+        assert!(!candidates.is_empty() && candidates.iter().all(|s| !s.is_empty()));
+        let cache = GlScoreCache::build(st, candidates, weights);
+        let n = candidates.len();
+        let mut best_choice = vec![0usize; n];
+        let mut best_val = f64::NEG_INFINITY;
+        let mut choice = vec![0usize; n];
+        loop {
+            let score = cache.glscore_cached(&choice);
+            if score > best_val {
+                best_val = score;
+                best_choice.copy_from_slice(&choice);
+            }
+            // Odometer increment.
+            let mut pos = n;
+            loop {
+                if pos == 0 {
+                    return to_attributes(candidates, &best_choice);
+                }
+                pos -= 1;
+                choice[pos] += 1;
+                if choice[pos] < candidates[pos].len() {
+                    break;
+                }
+                choice[pos] = 0;
+            }
+        }
+    }
 
     /// The historical recursive implementation of
     /// [`select_combination_counted`], kept as the oracle the iterative

@@ -15,7 +15,9 @@
 //! rather than a history of charges.
 
 use crate::error::DpError;
-use crate::ledger::{CheckpointRecord, GrantRecord, LedgerWriter, Recovery, NO_REQUEST};
+use crate::ledger::{
+    check_checkpoint_size, CheckpointRecord, GrantRecord, LedgerWriter, Recovery, NO_REQUEST,
+};
 use dpx_runtime::faultpoint::{self, SHARD_PRE_APPEND};
 use dpx_runtime::{Batcher, CancelToken, Submit};
 use std::collections::{BTreeSet, HashMap};
@@ -442,6 +444,12 @@ impl Ledgered {
     /// stats but does not propagate: the pre-checkpoint WAL still holds the
     /// full history, so nothing is lost — the log just stays long.
     fn checkpoint(&mut self) {
+        // Refuse an oversized checkpoint before copying every id: the policy
+        // retries after each later batch, and the writer would refuse it too.
+        if check_checkpoint_size(self.granted.len() + self.duplicates.len()).is_err() {
+            self.stats.checkpoint_failures += 1;
+            return;
+        }
         let mut granted: Vec<u64> = self.granted.iter().copied().collect();
         if !self.duplicates.is_empty() {
             granted.extend(&self.duplicates);

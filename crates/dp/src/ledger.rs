@@ -139,6 +139,12 @@ pub enum LedgerError {
         /// What failed (header CRC, payload CRC, length bound, decode).
         detail: String,
     },
+    /// A checkpoint would carry more granted ids than one record can hold.
+    /// Nothing was written: the log keeps its full history.
+    CheckpointTooLarge {
+        /// Granted ids the checkpoint would carry.
+        granted: usize,
+    },
 }
 
 impl fmt::Display for LedgerError {
@@ -151,6 +157,11 @@ impl fmt::Display for LedgerError {
             LedgerError::Corrupt { offset, detail } => {
                 write!(f, "ledger corrupt at byte {offset}: {detail}")
             }
+            LedgerError::CheckpointTooLarge { granted } => write!(
+                f,
+                "checkpoint of {granted} granted ids exceeds the record bound \
+                 ({MAX_CHECKPOINT_IDS} ids); the log keeps its full history"
+            ),
         }
     }
 }
@@ -265,6 +276,19 @@ fn encode_grant_payload(grant: &GrantRecord) -> Vec<u8> {
     payload.extend_from_slice(&(grant.label.len() as u32).to_le_bytes());
     payload.extend_from_slice(grant.label.as_bytes());
     payload
+}
+
+/// Most granted ids one checkpoint record holds: its payload is the kind
+/// byte, the `u64` total, the `u32` id count and 8 bytes per id, and must
+/// stay within [`MAX_RECORD_LEN`].
+const MAX_CHECKPOINT_IDS: usize = (MAX_RECORD_LEN as usize - 13) / 8;
+
+/// Refuses a checkpoint of `granted` ids that one record cannot hold.
+pub(crate) fn check_checkpoint_size(granted: usize) -> Result<(), LedgerError> {
+    if granted > MAX_CHECKPOINT_IDS {
+        return Err(LedgerError::CheckpointTooLarge { granted });
+    }
+    Ok(())
 }
 
 fn encode_checkpoint_payload(ckpt: &CheckpointRecord) -> Vec<u8> {
@@ -619,8 +643,11 @@ impl LedgerWriter {
     /// synced **before** an atomic `rename` over the log, so a kill at any
     /// instruction leaves either the full history or the compacted file —
     /// never a mix, never a loss. After this returns, `recover()` decodes
-    /// one record instead of the whole history.
+    /// one record instead of the whole history. A checkpoint with more ids
+    /// than one record holds is refused with
+    /// [`LedgerError::CheckpointTooLarge`] before anything is written.
     pub fn checkpoint(&mut self, ckpt: &CheckpointRecord) -> Result<(), LedgerError> {
+        check_checkpoint_size(ckpt.granted.len())?;
         let tmp = checkpoint_tmp_path(&self.path);
         {
             let mut file = File::create(&tmp)?;
@@ -699,6 +726,32 @@ mod tests {
         assert_eq!(recovered.records_replayed(), 3);
         assert_eq!(recovered.checkpoint_age(), 3);
         assert_eq!(recovered.granted_ids().collect::<Vec<_>>(), vec![7, 2]);
+    }
+
+    #[test]
+    fn checkpoint_size_bound_sits_exactly_at_the_record_limit() {
+        // The bound's arithmetic matches the encoder's layout...
+        for n in [0, 1, 5] {
+            let ckpt = CheckpointRecord {
+                spent_units: 1,
+                granted: vec![7; n],
+            };
+            assert_eq!(encode_checkpoint_payload(&ckpt).len(), 13 + 8 * n);
+        }
+        // ...so the largest admitted checkpoint fits one record and one id
+        // more would not, checked without allocating the ids.
+        let max = MAX_RECORD_LEN as usize;
+        assert!(13 + 8 * MAX_CHECKPOINT_IDS <= max);
+        assert!(13 + 8 * (MAX_CHECKPOINT_IDS + 1) > max);
+        assert_eq!(check_checkpoint_size(MAX_CHECKPOINT_IDS), Ok(()));
+        let err = check_checkpoint_size(MAX_CHECKPOINT_IDS + 1).unwrap_err();
+        assert_eq!(
+            err,
+            LedgerError::CheckpointTooLarge {
+                granted: MAX_CHECKPOINT_IDS + 1
+            }
+        );
+        assert!(err.to_string().contains("full history"), "{err}");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! concurrently — adds one admission primitive:
 //!
 //! * [`queue`] — a [`BoundedTenantQueue`]: bounded per-tenant lanes with
-//!   weighted round-robin dequeue, so backpressure is per tenant and one
+//!   round-robin dequeue, so backpressure is per tenant and one
 //!   noisy tenant cannot starve the rest of the rotation.
 
 #![forbid(unsafe_code)]

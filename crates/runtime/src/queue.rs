@@ -1,4 +1,4 @@
-//! Bounded per-tenant queues with weighted round-robin dequeue.
+//! Bounded per-tenant queues with round-robin dequeue.
 //!
 //! The serving daemon admits work into one lane per tenant (dataset). Two
 //! properties matter and both are enforced *structurally* here rather than
@@ -8,11 +8,10 @@
 //!   full lane fails immediately with the lane's depth, so the daemon can
 //!   answer `overloaded` with a backpressure hint instead of queuing
 //!   unboundedly — memory stays flat under any flood.
-//! * **Fair**: the consumer side dequeues lanes in weighted round-robin
-//!   order. A tenant with weight *w* gets up to *w* consecutive dequeues
-//!   per turn, then the cursor moves on; a noisy tenant with a thousand
-//!   queued requests cannot starve a quiet one whose single request is
-//!   always at most one full rotation away.
+//! * **Fair**: the consumer side dequeues lanes in round-robin order, one
+//!   item per lane per turn; a noisy tenant with a thousand queued requests
+//!   cannot starve a quiet one whose single request is always at most one
+//!   full rotation away.
 //!
 //! Lanes rotate in sorted tenant-name order and the cursor state is
 //! internal, so with a single consumer the dequeue order is a pure
@@ -23,6 +22,7 @@
 //! the remaining items and observe `None` once the queue is empty.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a [`BoundedTenantQueue::push`] was refused.
@@ -40,22 +40,15 @@ pub enum PushError {
     Closed,
 }
 
-struct Lane<T> {
-    items: VecDeque<T>,
-    weight: usize,
-}
-
 struct Inner<T> {
-    lanes: BTreeMap<String, Lane<T>>,
+    lanes: BTreeMap<String, VecDeque<T>>,
     len: usize,
     closed: bool,
-    /// Tenant currently holding the dequeue turn, if any.
+    /// Tenant that took the last dequeue, if any.
     cursor: Option<String>,
-    /// Dequeues the cursor tenant may still take this turn.
-    turn_left: usize,
 }
 
-/// A bounded multi-tenant MPMC queue with weighted round-robin dequeue.
+/// A bounded multi-tenant MPMC queue with round-robin dequeue.
 pub struct BoundedTenantQueue<T> {
     inner: Mutex<Inner<T>>,
     readable: Condvar,
@@ -72,7 +65,6 @@ impl<T> BoundedTenantQueue<T> {
                 len: 0,
                 closed: false,
                 cursor: None,
-                turn_left: 0,
             }),
             readable: Condvar::new(),
             capacity: capacity.max(1),
@@ -88,21 +80,6 @@ impl<T> BoundedTenantQueue<T> {
         self.capacity
     }
 
-    /// Sets a tenant's round-robin weight (consecutive dequeues per turn).
-    /// Weights below 1 are promoted to 1. Unknown tenants get a lane now so
-    /// the weight survives until their first push.
-    pub fn set_weight(&self, tenant: &str, weight: usize) {
-        let mut inner = self.lock();
-        inner
-            .lanes
-            .entry(tenant.to_string())
-            .or_insert_with(|| Lane {
-                items: VecDeque::new(),
-                weight: 1,
-            })
-            .weight = weight.max(1);
-    }
-
     /// Enqueues `item` on `tenant`'s lane. On success returns the lane's
     /// new depth; a full lane or a closed queue refuses immediately.
     pub fn push(&self, tenant: &str, item: T) -> Result<usize, PushError> {
@@ -111,28 +88,22 @@ impl<T> BoundedTenantQueue<T> {
             return Err(PushError::Closed);
         }
         let capacity = self.capacity;
-        let lane = inner
-            .lanes
-            .entry(tenant.to_string())
-            .or_insert_with(|| Lane {
-                items: VecDeque::new(),
-                weight: 1,
-            });
-        if lane.items.len() >= capacity {
+        let lane = inner.lanes.entry(tenant.to_string()).or_default();
+        if lane.len() >= capacity {
             return Err(PushError::Full {
-                depth: lane.items.len(),
+                depth: lane.len(),
                 capacity,
             });
         }
-        lane.items.push_back(item);
-        let depth = lane.items.len();
+        lane.push_back(item);
+        let depth = lane.len();
         inner.len += 1;
         drop(inner);
         self.readable.notify_one();
         Ok(depth)
     }
 
-    /// Dequeues the next item in weighted round-robin order, or `None` when
+    /// Dequeues the next item in round-robin order, or `None` when
     /// every lane is empty. Never blocks.
     pub fn pop(&self) -> Option<(String, T)> {
         let mut inner = self.lock();
@@ -161,49 +132,20 @@ impl<T> BoundedTenantQueue<T> {
         if inner.len == 0 {
             return None;
         }
-        // Continue the current tenant's turn while it has budget and items.
-        if inner.turn_left > 0 {
-            if let Some(name) = inner.cursor.clone() {
-                if let Some(lane) = inner.lanes.get_mut(&name) {
-                    if let Some(item) = lane.items.pop_front() {
-                        inner.turn_left -= 1;
-                        inner.len -= 1;
-                        return Some((name, item));
-                    }
-                }
-            }
-        }
         // Advance the cursor: next non-empty lane in sorted order, wrapping.
-        let next = {
-            let after = inner.cursor.as_deref();
-            let mut candidate: Option<String> = None;
-            if let Some(after) = after {
-                for (name, lane) in inner
-                    .lanes
-                    .range::<str, _>((std::ops::Bound::Excluded(after), std::ops::Bound::Unbounded))
-                {
-                    if !lane.items.is_empty() {
-                        candidate = Some(name.clone());
-                        break;
-                    }
-                }
-            }
-            if candidate.is_none() {
-                for (name, lane) in &inner.lanes {
-                    if !lane.items.is_empty() {
-                        candidate = Some(name.clone());
-                        break;
-                    }
-                }
-            }
-            candidate?
+        let after = match inner.cursor.as_deref() {
+            Some(cursor) => (Bound::Excluded(cursor), Bound::Unbounded),
+            None => (Bound::Unbounded, Bound::Unbounded),
         };
-        let lane = inner.lanes.get_mut(&next)?;
-        let weight = lane.weight;
-        let item = lane.items.pop_front()?;
+        let next = inner
+            .lanes
+            .range::<str, _>(after)
+            .chain(&inner.lanes)
+            .find(|(_, lane)| !lane.is_empty())
+            .map(|(name, _)| name.clone())?;
+        let item = inner.lanes.get_mut(&next)?.pop_front()?;
         inner.len -= 1;
         inner.cursor = Some(next.clone());
-        inner.turn_left = weight - 1;
         Some((next, item))
     }
 
@@ -233,10 +175,7 @@ impl<T> BoundedTenantQueue<T> {
 
     /// Queued items in one tenant's lane (0 for unknown tenants).
     pub fn depth(&self, tenant: &str) -> usize {
-        self.lock()
-            .lanes
-            .get(tenant)
-            .map_or(0, |lane| lane.items.len())
+        self.lock().lanes.get(tenant).map_or(0, VecDeque::len)
     }
 }
 
@@ -285,29 +224,11 @@ mod tests {
         let order: Vec<String> = std::iter::from_fn(|| queue.pop())
             .map(|(tenant, _)| tenant)
             .collect();
-        // Equal weights: the quiet tenant is served once per rotation, not
-        // after the noisy backlog.
+        // The quiet tenant is served once per rotation, not after the noisy
+        // backlog.
         assert_eq!(
             order,
             vec!["noisy", "quiet", "noisy", "quiet", "noisy", "noisy", "noisy", "noisy"]
-        );
-    }
-
-    #[test]
-    fn weights_grant_consecutive_dequeues_per_turn() {
-        let queue = BoundedTenantQueue::new(16);
-        queue.set_weight("bulk", 3);
-        for i in 0..6 {
-            queue.push("bulk", i).unwrap();
-        }
-        queue.push("small", 100).unwrap();
-        queue.push("small", 101).unwrap();
-        let order: Vec<String> = std::iter::from_fn(|| queue.pop())
-            .map(|(tenant, _)| tenant)
-            .collect();
-        assert_eq!(
-            order,
-            vec!["bulk", "bulk", "bulk", "small", "bulk", "bulk", "bulk", "small"]
         );
     }
 
@@ -351,7 +272,6 @@ mod tests {
     fn single_consumer_order_is_deterministic_for_a_fixed_push_sequence() {
         let run = || {
             let queue = BoundedTenantQueue::new(32);
-            queue.set_weight("b", 2);
             for i in 0..5 {
                 queue.push("c", i).unwrap();
                 queue.push("a", i + 10).unwrap();

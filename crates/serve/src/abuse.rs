@@ -51,8 +51,8 @@
 //! One battery deliberately lives elsewhere: **chaos under storm** (killing
 //! the process at ledger fault points mid-storm) cannot run in-process —
 //! the fault points abort the whole process, test runner included — so it
-//! drives `dpclustx-cli serve-batch` (the daemon on a request file) as a
-//! child process from the CLI crate's crash matrix
+//! drives `dpclustx-cli serve-daemon --requests` (the daemon on a request
+//! file) as a child process from the CLI crate's crash matrix
 //! (`crates/cli/tests/crash_matrix.rs`).
 
 use crate::daemon::{Daemon, DaemonConfig, DaemonReply, ReplySink};

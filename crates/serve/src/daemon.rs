@@ -7,7 +7,7 @@
 //! stdin, Unix socket, in-process callers):
 //!
 //! ```text
-//!   transport line ──► admit ──► queue (per-tenant, bounded, WRR)
+//!   transport line ──► admit ──► queue (per-tenant, bounded, round-robin)
 //!                        │                      │
 //!                        │ typed reject         ▼ worker pop
 //!                        ▼                    spend ──► execute ──► respond
@@ -123,14 +123,16 @@ pub struct DaemonConfig {
     pub granted: HashSet<u64>,
     /// Auto-checkpoint each shard's WAL after this many grants.
     pub checkpoint_every: Option<u64>,
-    /// Latency-ring window of the metrics registry.
-    pub metrics_window: usize,
-    /// Periodically overwrite this file with the deterministic stats
-    /// snapshot (and once more at drain).
+    /// Overwrite this file with the deterministic stats snapshot every 64
+    /// completed requests (and once more at drain).
     pub metrics_out: Option<PathBuf>,
-    /// How many completed requests between `metrics_out` dumps.
-    pub metrics_every: u64,
 }
+
+/// Latency-ring window of the metrics registry.
+const METRICS_WINDOW: usize = 512;
+
+/// Completed requests between `metrics_out` dumps.
+const METRICS_EVERY: u64 = 64;
 
 impl Default for DaemonConfig {
     fn default() -> Self {
@@ -141,9 +143,7 @@ impl Default for DaemonConfig {
             deadline_ms: None,
             granted: HashSet::new(),
             checkpoint_every: None,
-            metrics_window: 512,
             metrics_out: None,
-            metrics_every: 64,
         }
     }
 }
@@ -227,7 +227,7 @@ pub struct Daemon {
     drain_reason: Mutex<String>,
     /// Ids admitted this process lifetime (the idempotency key space).
     seen: Mutex<HashSet<u64>>,
-    /// Completed requests (served + rejected), for `metrics_every` pacing.
+    /// Completed requests (served + rejected), for `METRICS_EVERY` pacing.
     completed: AtomicU64,
 }
 
@@ -247,7 +247,7 @@ impl Daemon {
         Arc::new(Daemon {
             service: ExplainService::new(registry),
             queue: BoundedTenantQueue::new(config.queue_capacity),
-            metrics: MetricsRegistry::new(config.metrics_window),
+            metrics: MetricsRegistry::new(METRICS_WINDOW),
             config: DaemonConfig { workers, ..config },
             draining: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
@@ -270,11 +270,6 @@ impl Daemon {
     /// Whether admission is closed.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
-    }
-
-    /// Sets a tenant's weighted-round-robin dequeue weight.
-    pub fn set_tenant_weight(&self, tenant: &str, weight: usize) {
-        self.queue.set_weight(tenant, weight);
     }
 
     /// Spawns the worker pool. Threads exit once the queue is closed and
@@ -660,7 +655,7 @@ impl Daemon {
             return;
         }
         let completed = self.completed.load(Ordering::Relaxed);
-        if completed > 0 && completed.is_multiple_of(self.config.metrics_every.max(1)) {
+        if completed > 0 && completed.is_multiple_of(METRICS_EVERY) {
             self.dump_metrics_now();
         }
     }

@@ -54,10 +54,9 @@
 //! `deadline_exceeded` and spends no ε; one that expires later keeps its
 //! reserved ε spent.
 //!
-//! `dpclustx-cli serve-daemon` wires the daemon to stdin, a request file, or
-//! a Unix socket; `dpclustx-cli serve-batch` is the same command with a
-//! request file required: JSONL requests in, JSONL responses (sorted by id)
-//! out.
+//! `dpclustx-cli serve-daemon` wires the daemon to stdin, a request file
+//! (`--requests`), or a Unix socket: JSONL requests in, JSONL responses
+//! (sorted by id) out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,7 +43,7 @@ fn registry() -> Arc<DatasetRegistry> {
 }
 
 /// Serves the JSONL `lines` through a fresh daemon's line transport, as
-/// `serve-batch` does, and returns the responses sorted by id.
+/// `serve-daemon --requests` does, and returns the responses sorted by id.
 fn serve_lines_sorted(
     registry: &Arc<DatasetRegistry>,
     lines: &str,
